@@ -4,7 +4,6 @@
 // at O0/O1/O2 over machine sizes.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "common.hpp"
@@ -67,25 +66,6 @@ hpfc::ir::Program solver(Extent n, int procs, Extent phases) {
   return b.finish(diags);
 }
 
-/// Fine-grained cyclic(2) <-> cyclic(3) rebalancing: the remapping whose
-/// transfers decompose into very short ragged segments (len <= 3), so
-/// pack/unpack time is per-segment-dispatch-bound — the case the
-/// specialized singleton/unrolled kernel fragments target.
-hpfc::ir::Program cyclic_rebalance(Extent n, int procs, Extent trips) {
-  hpfc::hpf::ProgramBuilder b("cyclic_rebalance");
-  b.procs("P", Shape{procs});
-  b.array("A", Shape{n});
-  b.distribute_array("A", {DistFormat::cyclic(2)}, "P");
-  b.def({"A"});
-  b.begin_loop(trips);
-  b.redistribute("A", {DistFormat::cyclic(3)}, "", "fine");
-  b.redistribute("A", {DistFormat::cyclic(2)}, "", "back");
-  b.end_loop();
-  b.use({"A"});
-  hpfc::DiagnosticEngine diags;
-  return b.finish(diags);
-}
-
 void report(Harness& h) {
   banner("R / §1 kernels — ADI, 2-D FFT, linear solver",
          "remappings are useful (ADI, FFT, linear algebra) but naive "
@@ -105,68 +85,6 @@ void report(Harness& h) {
   note("FFT transposes are genuinely needed (O2 == O0 on copies there is "
        "expected: every copy is useful); ADI and the solver lose their "
        "useless and loop-invariant remappings");
-
-  // Specialized-kernel A/B: each workload runs once through the
-  // specialized kernels and once through the interpreted segment walker.
-  // Every counter except the specialization pair is identical by
-  // construction (asserted by check_bench_regression --identical in CI);
-  // exec_ms is the payoff. Explicit RunOptions (seed aside) so the rows
-  // are byte-stable across harness flags.
-  // The legs alternate within every repetition (spec, interp, spec,
-  // interp, ...) so shared-runner load drift cancels out of the
-  // best-of-reps comparison instead of biasing whichever leg ran later.
-  const auto kernel_ab = [&h](const std::string& figure, const auto& compiled,
-                              const char* level, const std::string& base) {
-    hpfc::runtime::RunOptions options[2];
-    RunReport rep[2];
-    double best_exec_ms[2];
-    for (int leg = 0; leg < 2; ++leg) {
-      options[leg].seed = h.options().run.seed;
-      options[leg].interpret_kernels = (leg == 1);
-      (void)hpfc::driver::run(compiled, options[leg]);  // warm-up
-      rep[leg] = hpfc::driver::run(compiled, options[leg]);
-      best_exec_ms[leg] = rep[leg].exec_ms;
-    }
-    for (int r = 1; r < h.options().reps; ++r) {
-      for (int leg = 0; leg < 2; ++leg) {
-        rep[leg] = hpfc::driver::run(compiled, options[leg]);
-        if (rep[leg].exec_ms < best_exec_ms[leg])
-          best_exec_ms[leg] = rep[leg].exec_ms;
-      }
-    }
-    for (int leg = 0; leg < 2; ++leg) {
-      const auto oracle = hpfc::driver::run_oracle(compiled, options[leg]);
-      if (rep[leg].signature != oracle.signature ||
-          !rep[leg].exported_values_ok) {
-        std::fprintf(stderr, "%s diverged from the oracle\n", figure.c_str());
-        std::abort();
-      }
-      LevelMetrics metrics = metrics_from(level, rep[leg]);
-      metrics.exec_ms = best_exec_ms[leg];
-      const std::string config =
-          base + (leg == 1 ? " interpreted" : " specialized");
-      row(config, metrics);
-      note(config + ": exec_ms=" + std::to_string(best_exec_ms[leg]) +
-           " specialized_dispatches=" +
-           std::to_string(metrics.specialized_dispatches));
-      h.record_metrics(figure, config, std::move(metrics));
-    }
-  };
-
-  banner("kernel-transpose: specialized pack/unpack kernels vs interpreter",
-         "the transpose pack is long-unit-stride (memcpy either way), so "
-         "this A/B bounds the specialization overhead near zero");
-  kernel_ab("kernel-transpose", compile(fft2d(256, 4, 6), OptLevel::O2), "O2",
-            "P=4 n=256 transforms=6");
-
-  banner("kernel-cyclic: dispatch-bound rebalancing, specialized vs "
-         "interpreter",
-         "cyclic(2) <-> cyclic(3) transfers decompose into len<=3 ragged "
-         "segments, so pack time is per-segment dispatch — the case the "
-         "singleton/unrolled fragments fold into tight step-table loops");
-  kernel_ab("kernel-cyclic",
-            compile(cyclic_rebalance(1 << 18, 8, 48), OptLevel::O0), "O0",
-            "P=8 n=262144 trips=48");
 }
 
 void BM_fft_transpose_run(benchmark::State& state) {

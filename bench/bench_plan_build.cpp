@@ -1,12 +1,13 @@
-// Plan construction and pack throughput at large N: the list-based oracle
-// build() materializes every per-dimension index, so its cost scales with
-// the array extent; the run-based build_runs() works on closed-form
-// interval runs, so for fixed P its cost is independent of N. The pack
-// stage measures segment-program compilation plus bulk pack/unpack
-// throughput on a real redistribution. The symbolic sweep compiles each
-// layout pair ONCE into a SymbolicPlan and then binds it across an
-// (N, P) grid: the cold binding is O(runs), and the warm binding is one
-// cache lookup, flat in N — "compile once, instantiate anywhere".
+// Plan construction and pack throughput at large N: the list-based
+// oracle (testing::oracle_plan) materializes every per-dimension index,
+// so its cost scales with the array extent; the run-based build_runs()
+// works on closed-form interval runs, so for fixed P its cost is
+// independent of N. The pack stage measures segment-program compilation
+// plus bulk pack/unpack throughput on a real redistribution. The
+// symbolic sweep compiles each layout pair ONCE into a SymbolicPlan and
+// then binds it across an (N, P) grid: the cold binding is O(runs), and
+// the warm binding is one cache lookup, flat in N — "compile once,
+// instantiate anywhere".
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include "redist/commsets.hpp"
 #include "redist/segments.hpp"
 #include "redist/symbolic_plan.hpp"
+#include "testing/plan_oracle.hpp"
 
 namespace {
 
@@ -80,7 +82,7 @@ void measure_plan_build(bench_common::Harness& harness) {
 
       hpfc::redist::RedistPlan list_plan;
       const double list_ms = median_ms(
-          reps, [&] { list_plan = hpfc::redist::build(from, to); });
+          reps, [&] { list_plan = hpfc::testing::oracle_plan(from, to); });
       hpfc::redist::RedistPlanV2 runs_plan;
       const double runs_ms = median_ms(
           reps, [&] { runs_plan = hpfc::redist::build_runs(from, to); });

@@ -7,6 +7,7 @@
 
 #include "common.hpp"
 #include "redist/commsets.hpp"
+#include "testing/plan_oracle.hpp"
 
 using bench_common::Harness;
 using bench_common::bench_main;
@@ -55,9 +56,9 @@ void report(Harness& h) {
         const auto from = one_dim(n, p, c.from);
         const auto to = one_dim(n, p, c.to);
         const auto t0 = std::chrono::steady_clock::now();
-        const auto oracle = hpfc::redist::build(from, to);
+        const auto oracle = hpfc::testing::oracle_plan(from, to);
         const auto t1 = std::chrono::steady_clock::now();
-        const auto fast = hpfc::redist::build_periodic(from, to);
+        const auto fast = hpfc::redist::build_runs(from, to).materialize();
         const auto t2 = std::chrono::steady_clock::now();
         if (oracle.transfers.size() != fast.transfers.size() ||
             oracle.total_elements() != fast.total_elements())
@@ -87,7 +88,7 @@ void BM_plan_oracle(benchmark::State& state) {
   const auto from = one_dim(n, 16, DistFormat::cyclic(2));
   const auto to = one_dim(n, 16, DistFormat::cyclic(3));
   for (auto _ : state) {
-    auto plan = hpfc::redist::build(from, to);
+    auto plan = hpfc::testing::oracle_plan(from, to);
     benchmark::DoNotOptimize(&plan);
   }
   state.SetComplexityN(n);
@@ -99,7 +100,7 @@ void BM_plan_periodic(benchmark::State& state) {
   const auto from = one_dim(n, 16, DistFormat::cyclic(2));
   const auto to = one_dim(n, 16, DistFormat::cyclic(3));
   for (auto _ : state) {
-    auto plan = hpfc::redist::build_periodic(from, to);
+    auto plan = hpfc::redist::build_runs(from, to).materialize();
     benchmark::DoNotOptimize(&plan);
   }
   state.SetComplexityN(n);

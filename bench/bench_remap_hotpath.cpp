@@ -1,5 +1,5 @@
 // Steady-state remapping hot path: fig16's block <-> cyclic loop at P=8,
-// n=1M, driven through both execution backends with host allocation
+// n=1M, driven through every execution backend with host allocation
 // counting. This is the workload the run-compiled execution paths target:
 // cached ownership programs, the src == dst local-copy fast path, and
 // pooled payload/mailbox buffers must make repeated remappings both
@@ -65,104 +65,49 @@ int main(int argc, char** argv) {
     const hpfc::mapping::Extent trips = 6;
     const Compiled compiled = compile(fig16(n, procs, trips), OptLevel::O0);
 
-    // The `interpreted` legs re-run each backend through the interpreted
-    // segment walker (RunOptions::interpret_kernels): the A/B pair for the
-    // specialized pack/unpack kernels — every counter except the
-    // specialization pair must be identical, only exec_ms moves.
+    // The best repetition's whole report is recorded, so the pack /
+    // exchange / unpack split describes the run the exec_ms came from.
     for (const auto backend :
-         {hpfc::exec::BackendKind::Seq, hpfc::exec::BackendKind::Thread}) {
-      for (const bool interpret : {false, true}) {
-        hpfc::runtime::RunOptions options;
-        options.seed = harness.options().run.seed;
-        options.backend = backend;
-        options.threads = 8;
-        options.interpret_kernels = interpret;
-        // Warm-up run outside the measured window; the oracle signature is
-        // the cross-check reference for every timed repetition.
-        const auto oracle = hpfc::driver::run_oracle(compiled, options);
-        (void)hpfc::driver::run(compiled, options);
+         {hpfc::exec::BackendKind::Seq, hpfc::exec::BackendKind::Thread,
+          hpfc::exec::BackendKind::Proc}) {
+      hpfc::runtime::RunOptions options;
+      options.seed = harness.options().run.seed;
+      options.backend = backend;
+      options.threads = 8;
+      // Warm-up run outside the measured window; the oracle signature is
+      // the cross-check reference for every timed repetition.
+      const auto oracle = hpfc::driver::run_oracle(compiled, options);
+      (void)hpfc::driver::run(compiled, options);
 
-        RunReport report;
-        double best_exec_ms = 0.0;
-        unsigned long long best_allocs = 0;
-        const int reps = harness.options().reps;
-        for (int rep = 0; rep < reps; ++rep) {
-          const unsigned long long before = alloc_count();
-          report = hpfc::driver::run(compiled, options);
-          const unsigned long long allocs = alloc_count() - before;
-          if (report.signature != oracle.signature ||
-              !report.exported_values_ok) {
-            std::fprintf(stderr, "remap_hotpath diverged from the oracle\n");
-            std::abort();
-          }
-          if (rep == 0 || report.exec_ms < best_exec_ms)
-            best_exec_ms = report.exec_ms;
-          if (rep == 0 || allocs < best_allocs) best_allocs = allocs;
-        }
-
-        LevelMetrics metrics = metrics_from("O0", report);
-        metrics.exec_ms = best_exec_ms;
-        metrics.host_allocs = best_allocs;
-        const std::string config = std::string("P=8 n=1048576 trips=6 ") +
-                                   hpfc::exec::to_string(backend) +
-                                   (interpret ? " interpreted" : "");
-        row(config, metrics);
-        note(config + ": exec_ms=" + std::to_string(best_exec_ms) +
-             " host_allocs=" + std::to_string(best_allocs) +
-             " local_fastpath_copies=" +
-             std::to_string(report.local_fastpath_copies) +
-             " specialized_dispatches=" +
-             std::to_string(metrics.specialized_dispatches));
-        harness.record_metrics("remap_hotpath", config, std::move(metrics));
-      }
-    }
-
-    // Pipelined vs phased supersteps: the same fig16 workload through the
-    // thread and proc backends, once with the pipelined pack/exchange/
-    // unpack path (pack and unpack dispatched rank-parallel through
-    // Backend::step; proc exchanges via pooled scatter-gather sendmsg/recv
-    // with no flat encode copy) and once with RunOptions::no_pipeline (the
-    // historical serial controller phases + flat encode). Every counter —
-    // including the proc wire counters — is byte-identical across the
-    // pair; only exec_ms and its pack/exchange/unpack split move.
-    banner("remap_hotpath: pipelined vs phased supersteps (fig16, O0)",
-           "rank-parallel pack/unpack plus the zero-copy scatter-gather "
-           "wire path against the serial phased oracle");
-    for (const auto backend :
-         {hpfc::exec::BackendKind::Thread, hpfc::exec::BackendKind::Proc}) {
-      for (const bool phased : {false, true}) {
-        hpfc::runtime::RunOptions options;
-        options.seed = harness.options().run.seed;
-        options.backend = backend;
-        options.threads = 8;
-        options.no_pipeline = phased;
-        const auto oracle = hpfc::driver::run_oracle(compiled, options);
-        (void)hpfc::driver::run(compiled, options);
-
-        RunReport report = hpfc::driver::run(compiled, options);
-        RunReport best = report;
-        for (int rep = 1; rep < harness.options().reps; ++rep) {
-          report = hpfc::driver::run(compiled, options);
-          if (report.exec_ms < best.exec_ms) best = report;
-        }
+      RunReport best;
+      unsigned long long best_allocs = 0;
+      const int reps = harness.options().reps;
+      for (int rep = 0; rep < reps; ++rep) {
+        const unsigned long long before = alloc_count();
+        const RunReport report = hpfc::driver::run(compiled, options);
+        const unsigned long long allocs = alloc_count() - before;
         if (report.signature != oracle.signature ||
             !report.exported_values_ok) {
           std::fprintf(stderr, "remap_hotpath diverged from the oracle\n");
           std::abort();
         }
-        // Best-of-reps, whole report: the phase split must describe the
-        // same repetition the exec_ms came from.
-        LevelMetrics metrics = metrics_from("O0", best);
-        const std::string config = std::string("P=8 n=1048576 trips=6 ") +
-                                   hpfc::exec::to_string(backend) +
-                                   (phased ? " phased" : " pipelined");
-        row(config, metrics);
-        note(config + ": exec_ms=" + std::to_string(metrics.exec_ms) +
-             " pack_ms=" + std::to_string(metrics.pack_ms) +
-             " exchange_ms=" + std::to_string(metrics.exchange_ms) +
-             " unpack_ms=" + std::to_string(metrics.unpack_ms));
-        harness.record_metrics("remap_hotpath", config, std::move(metrics));
+        if (rep == 0 || report.exec_ms < best.exec_ms) best = report;
+        if (rep == 0 || allocs < best_allocs) best_allocs = allocs;
       }
+
+      LevelMetrics metrics = metrics_from("O0", best);
+      metrics.host_allocs = best_allocs;
+      const std::string config = std::string("P=8 n=1048576 trips=6 ") +
+                                 hpfc::exec::to_string(backend);
+      row(config, metrics);
+      note(config + ": exec_ms=" + std::to_string(metrics.exec_ms) +
+           " pack_ms=" + std::to_string(metrics.pack_ms) +
+           " exchange_ms=" + std::to_string(metrics.exchange_ms) +
+           " unpack_ms=" + std::to_string(metrics.unpack_ms) +
+           " host_allocs=" + std::to_string(best_allocs) +
+           " local_fastpath_copies=" +
+           std::to_string(best.local_fastpath_copies));
+      harness.record_metrics("remap_hotpath", config, std::move(metrics));
     }
 
     // Cross-array aggregation: one remap vertex moving 4 arrays at once.
@@ -212,35 +157,6 @@ int main(int argc, char** argv) {
              " sim_time_ms=" + std::to_string(metrics.sim_time_ms));
         harness.record_metrics("remap_hotpath", config, std::move(metrics));
       }
-    }
-
-    // The fused path's interpreted A/B leg (seq, aggregation on): the
-    // combined-message framing must produce identical payloads whether
-    // each frame packs through a specialized kernel or the walker.
-    {
-      hpfc::runtime::RunOptions options = multi_options;
-      options.interpret_kernels = true;
-      (void)hpfc::driver::run(multi, options);
-      RunReport report = hpfc::driver::run(multi, options);
-      double best_exec_ms = report.exec_ms;
-      for (int rep = 1; rep < harness.options().reps; ++rep) {
-        report = hpfc::driver::run(multi, options);
-        if (report.exec_ms < best_exec_ms) best_exec_ms = report.exec_ms;
-      }
-      if (report.signature != oracle.signature ||
-          !report.exported_values_ok) {
-        std::fprintf(stderr, "remap_hotpath multi diverged from oracle\n");
-        std::abort();
-      }
-      LevelMetrics metrics = metrics_from("O0", report);
-      metrics.exec_ms = best_exec_ms;
-      const std::string config =
-          "P=8 n=262144 arrays=4 trips=6 fused seq interpreted";
-      row(config, metrics);
-      note(config + ": exec_ms=" + std::to_string(best_exec_ms) +
-           " specialized_kernels=" +
-           std::to_string(metrics.specialized_kernels));
-      harness.record_metrics("remap_hotpath", config, std::move(metrics));
     }
   });
 }

@@ -128,8 +128,6 @@ LevelMetrics metrics_from(const std::string& level, const RunReport& report,
   metrics.local_fastpath_copies = report.local_fastpath_copies;
   metrics.supersteps = report.net.supersteps;
   metrics.fused_copies = report.net.fused_copies;
-  metrics.specialized_kernels = report.net.specialized_kernels;
-  metrics.specialized_dispatches = report.net.specialized_dispatches;
   metrics.plan_cache_hits = report.net.plan_cache_hits;
   metrics.plan_cache_misses = report.net.plan_cache_misses;
   metrics.symbolic_instantiations = report.net.symbolic_instantiations;
@@ -371,8 +369,6 @@ bool Harness::write_json() const {
          << ", \"local_fastpath_copies\": " << m.local_fastpath_copies
          << ", \"supersteps\": " << m.supersteps
          << ", \"fused_copies\": " << m.fused_copies
-         << ", \"specialized_kernels\": " << m.specialized_kernels
-         << ", \"specialized_dispatches\": " << m.specialized_dispatches
          << ", \"plan_cache_hits\": " << m.plan_cache_hits
          << ", \"plan_cache_misses\": " << m.plan_cache_misses
          << ", \"symbolic_instantiations\": " << m.symbolic_instantiations

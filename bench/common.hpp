@@ -65,23 +65,15 @@ struct LevelMetrics {
   /// other copy (cross-array message aggregation); 0 when every remap
   /// vertex moves a single array or fusion is disabled.
   std::uint64_t fused_copies = 0;
-  /// Specialized pack/unpack kernels installed by the plan cache (one per
-  /// SegmentProgram at compile; 0 under --interpret-kernels).
-  std::uint64_t specialized_kernels = 0;
-  /// Transfers dispatched through a specialized kernel instead of the
-  /// interpreted segment walker, counted once per transfer at the
-  /// producing site — invariant across backends and the fast-path /
-  /// fusion toggles.
-  std::uint64_t specialized_dispatches = 0;
   /// Warm lookups the symbolic plan cache served without instantiating
-  /// (the (N, P) instance already existed); 0 under --concrete-plans.
+  /// (the (N, P) instance already existed).
   std::uint64_t plan_cache_hits = 0;
   /// Cold lookups that had to instantiate a symbolic plan for a new
   /// (N, P) key; always equal to symbolic_instantiations.
   std::uint64_t plan_cache_misses = 0;
   /// Symbolic-plan instantiations performed (O(runs), not O(N)); counted
-  /// at the producing site, so invariant across backends and the kernel /
-  /// fusion / fast-path toggles.
+  /// at the producing site, so invariant across backends and the fusion
+  /// toggle.
   std::uint64_t symbolic_instantiations = 0;
   /// Host heap allocations during the measured run (0 when the bench does
   /// not count them; only bespoke benches overriding operator new fill it).
@@ -113,8 +105,7 @@ struct LevelMetrics {
   /// Superstep phase timers (medians over repetitions): wall-clock spent
   /// inside every exchange superstep's pack / exchange / unpack window.
   /// They sum to less than exec_ms (guard evaluation, plan compilation
-  /// and local fast-path copies run outside the windows) and are the
-  /// pipelined-vs---no-pipeline A/B's measurement surface.
+  /// and local fast-path copies run outside the windows).
   double pack_ms = 0.0;
   double exchange_ms = 0.0;
   double unpack_ms = 0.0;
@@ -147,8 +138,7 @@ hpfc::runtime::RunOptions default_run_options();
 ///
 /// The machine flags (--backend=seq|thread|proc, --threads, --ranks,
 /// --seed, --proc-timeout-ms) and every registered A/B toggle
-/// (--force-message-path, --unfuse-copy-groups, --interpret-kernels,
-/// --concrete-plans, --paranoid, --proc-tcp) come from the shared
+/// (--unfuse-copy-groups, --paranoid, --proc-tcp) come from the shared
 /// support::cli surface and land in `run`; `--list-toggles` prints the
 /// registry table and exits.  Harness-specific flags:
 ///

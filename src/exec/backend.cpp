@@ -1,5 +1,7 @@
 #include "exec/backend.hpp"
 
+#include <sched.h>
+
 #include <string>
 
 #include "support/check.hpp"
@@ -25,11 +27,20 @@ std::optional<BackendKind> parse_backend_kind(std::string_view name) {
   return std::nullopt;
 }
 
+int usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int count = CPU_COUNT(&set);
+    if (count > 0) return count;
+  }
+  const int hardware = static_cast<int>(std::thread::hardware_concurrency());
+  return hardware > 0 ? hardware : 1;
+}
+
 StepPool::StepPool(int ranks, int threads) : ranks_(ranks) {
   HPFC_ASSERT_MSG(ranks > 0, "a pool needs at least one rank");
-  int hardware = static_cast<int>(std::thread::hardware_concurrency());
-  if (hardware <= 0) hardware = 1;
-  if (threads <= 0) threads = hardware;
+  if (threads <= 0) threads = usable_cpus();
   threads_ = std::min(std::max(threads, 1), ranks);
   errors_.resize(static_cast<std::size_t>(threads_));
   workers_.reserve(static_cast<std::size_t>(threads_));

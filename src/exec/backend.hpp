@@ -60,13 +60,6 @@ struct ProcConfig {
   /// long a dead or wedged worker can stall an exchange before the run
   /// fails with a diagnostic instead of hanging.
   int timeout_ms = 10000;
-  /// Ship controller frames through the historical serial encode-copy
-  /// path (encode_frame staging buffers, one control channel at a time)
-  /// instead of the pooled scatter-gather wire path. The bytes on the
-  /// wire — and so NetStats, WireStats, and inbox order — are identical
-  /// either way; only wall-clock time moves. Set from
-  /// RunOptions::no_pipeline; the A/B oracle of the pipelined path.
-  bool phased = false;
 };
 
 /// Real-socket traffic counters, filled by ProcBackend and zero for the
@@ -113,6 +106,11 @@ class RankFn {
   void (*call_)(const void*, int);
 };
 
+/// CPUs this process may run on: the size of its scheduler affinity mask
+/// (so a process pinned to one CPU counts one), falling back to
+/// std::thread::hardware_concurrency() when the mask cannot be read.
+[[nodiscard]] int usable_cpus();
+
 /// A reusable fork-join rank pool: min(threads, ranks) persistent workers
 /// execute a published RankFn under a generation-counter protocol, with
 /// worker w owning ranks w, w+T, w+2T, ... (static striping — no work
@@ -125,7 +123,7 @@ class RankFn {
 /// that runs pack/unpack rank work.
 class StepPool {
  public:
-  /// `threads <= 0` picks min(ranks, hardware_concurrency).
+  /// `threads <= 0` picks min(ranks, usable_cpus()).
   StepPool(int ranks, int threads);
   ~StepPool();
   StepPool(const StepPool&) = delete;
@@ -211,31 +209,13 @@ class Backend {
   /// exchange that carried the fused messages.
   void account_fused(std::uint64_t copies) { stats_.fused_copies += copies; }
 
-  /// Accounts kernel-specialization events from the runtime's plan cache
-  /// (see docs/kernels.md): `kernels` specialized pack/unpack kernels
-  /// installed (once per SegmentProgram when a plan slot compiles; rising
-  /// again after an evicted slot recompiles) and `dispatches` transfers
-  /// executed through an installed kernel instead of the interpreted
-  /// SegmentProgram walker.  Dispatches are counted once per transfer at
-  /// the producing site — the pack or local-copy step; the matching
-  /// unpack is not re-counted — so the counter is invariant across
-  /// force_message_path, unfuse_copy_groups and the execution backends.
-  /// Purely counters (no clock): call from the controlling thread between
-  /// steps, after reducing the per-rank tallies.
-  void account_specialization(std::uint64_t kernels,
-                              std::uint64_t dispatches) {
-    stats_.specialized_kernels += kernels;
-    stats_.specialized_dispatches += dispatches;
-  }
-
   /// Accounts symbolic plan-cache traffic from the runtime's plan slots:
   /// one two-level lookup per plan-slot compile (symbolic family id →
   /// bound (N, P) instance), counted at the producing site on the
   /// controlling thread between steps, so the counters are invariant
-  /// across force_message_path, unfuse_copy_groups, interpret_kernels
-  /// and the execution backends. `instantiations` counts the concrete
-  /// plans built on misses (rising again when an evicted instance is
-  /// re-bound). All three stay 0 under RunOptions::concrete_plans.
+  /// across unfuse_copy_groups and the execution backends.
+  /// `instantiations` counts the concrete plans built on misses (rising
+  /// again when an evicted instance is re-bound).
   void account_plan_cache(std::uint64_t hits, std::uint64_t misses,
                           std::uint64_t instantiations) {
     stats_.plan_cache_hits += hits;
@@ -252,7 +232,7 @@ class Backend {
 
 /// Creates a backend. `threads` applies to BackendKind::Thread only:
 /// the worker count, clamped to [1, ranks]; 0 picks
-/// min(ranks, hardware_concurrency). `proc` applies to BackendKind::Proc
+/// min(ranks, usable_cpus()). `proc` applies to BackendKind::Proc
 /// only (socket flavour and operation deadline).
 std::unique_ptr<Backend> make_backend(BackendKind kind, int ranks,
                                       net::CostModel cost = {},

@@ -373,89 +373,56 @@ std::vector<std::vector<net::Message>> ProcBackend::exchange(
 
   // Phase 1: every worker gets its full outbox. Workers drain the frame
   // completely before entering the mesh, so the controller's sends are
-  // mutually independent — safe in rank order (phased) or concurrently
-  // across the pool (pipelined).
+  // mutually independent and run concurrently across the pool as
+  // per-rank gather sends: payload bytes leave straight from the outbox
+  // message buffers, and rank r's frame can be in flight while another
+  // rank's is still encoding. Errors are captured per rank (not rethrown
+  // mid-pool) so the lowest failing rank deterministically names the
+  // diagnostic.
   wire::Tally ctrl_tally;
   std::vector<wire::Frame> frames(n);
-  if (config_.phased) {
-    // Historical path: encode into a staging buffer, one rank at a time.
-    for (int r = 0; r < ranks_; ++r) {
-      const auto& outbox = outboxes[static_cast<std::size_t>(r)];
-      const auto frame =
-          wire::encode_frame(wire::FrameKind::Outbox, wire::kControllerRank,
-                             outbox);
-      try {
-        wire::send_frame(workers_[static_cast<std::size_t>(r)].ctrl.fd(),
-                         frame, outbox.size(), config_.timeout_ms,
-                         "outbox to rank " + std::to_string(r), &ctrl_tally);
-      } catch (const wire::WireError& err) {
-        wire_failed(r, err.what());
-      }
+  std::vector<wire::Tally> tallies(n);
+  std::vector<std::string> errors(n);
+  pool_->run([&](int r) {
+    const auto& outbox = outboxes[static_cast<std::size_t>(r)];
+    const auto frame = wire::encode_frame_gather(
+        wire::FrameKind::Outbox, wire::kControllerRank, outbox);
+    try {
+      wire::send_gather_frame(workers_[static_cast<std::size_t>(r)].ctrl.fd(),
+                              frame, config_.timeout_ms,
+                              "outbox to rank " + std::to_string(r),
+                              &tallies[static_cast<std::size_t>(r)]);
+    } catch (const wire::WireError& err) {
+      errors[static_cast<std::size_t>(r)] = err.what();
     }
-  } else {
-    // Pipelined path: per-rank gather sends across the pool — payload
-    // bytes leave straight from the outbox message buffers, and rank r's
-    // frame can be in flight while another rank's is still encoding.
-    // Errors are captured per rank (not rethrown mid-pool) so the lowest
-    // failing rank deterministically names the diagnostic.
-    std::vector<wire::Tally> tallies(n);
-    std::vector<std::string> errors(n);
-    pool_->run([&](int r) {
-      const auto& outbox = outboxes[static_cast<std::size_t>(r)];
-      const auto frame = wire::encode_frame_gather(
-          wire::FrameKind::Outbox, wire::kControllerRank, outbox);
-      try {
-        wire::send_gather_frame(workers_[static_cast<std::size_t>(r)].ctrl.fd(),
-                                frame, config_.timeout_ms,
-                                "outbox to rank " + std::to_string(r),
-                                &tallies[static_cast<std::size_t>(r)]);
-      } catch (const wire::WireError& err) {
-        errors[static_cast<std::size_t>(r)] = err.what();
-      }
-    });
-    for (int r = 0; r < ranks_; ++r) {
-      if (!errors[static_cast<std::size_t>(r)].empty())
-        wire_failed(r, errors[static_cast<std::size_t>(r)]);
-      ctrl_tally += tallies[static_cast<std::size_t>(r)];
-    }
+  });
+  for (int r = 0; r < ranks_; ++r) {
+    if (!errors[static_cast<std::size_t>(r)].empty())
+      wire_failed(r, errors[static_cast<std::size_t>(r)]);
+    ctrl_tally += tallies[static_cast<std::size_t>(r)];
   }
   outboxes.clear();
 
   // Phase 2: collect every inbox. Returns are independent (the mesh is
-  // already drained by the time a worker replies), so rank order is safe
-  // — and so is collecting concurrently: each pool worker receives into
-  // its own rank's frame slot. Scatter receive (pipelined) lands inbox
-  // payloads straight in their destination Message buffers.
-  if (config_.phased) {
-    for (int r = 0; r < ranks_; ++r) {
-      try {
-        frames[static_cast<std::size_t>(r)] = wire::recv_frame(
-            workers_[static_cast<std::size_t>(r)].ctrl.fd(),
-            config_.timeout_ms, "inbox from rank " + std::to_string(r));
-      } catch (const wire::WireError& err) {
-        wire_failed(r, err.what());
-      }
+  // already drained by the time a worker replies), so each pool worker
+  // receives into its own rank's frame slot; the scatter receive lands
+  // inbox payloads straight in their destination Message buffers.
+  pool_->run([&](int r) {
+    try {
+      frames[static_cast<std::size_t>(r)] = wire::recv_frame_scatter(
+          workers_[static_cast<std::size_t>(r)].ctrl.fd(), config_.timeout_ms,
+          "inbox from rank " + std::to_string(r));
+    } catch (const wire::WireError& err) {
+      errors[static_cast<std::size_t>(r)] = err.what();
     }
-  } else {
-    std::vector<std::string> errors(n);
-    pool_->run([&](int r) {
-      try {
-        frames[static_cast<std::size_t>(r)] = wire::recv_frame_scatter(
-            workers_[static_cast<std::size_t>(r)].ctrl.fd(),
-            config_.timeout_ms, "inbox from rank " + std::to_string(r));
-      } catch (const wire::WireError& err) {
-        errors[static_cast<std::size_t>(r)] = err.what();
-      }
-    });
-    for (int r = 0; r < ranks_; ++r) {
-      if (!errors[static_cast<std::size_t>(r)].empty())
-        wire_failed(r, errors[static_cast<std::size_t>(r)]);
-    }
+  });
+  for (int r = 0; r < ranks_; ++r) {
+    if (!errors[static_cast<std::size_t>(r)].empty())
+      wire_failed(r, errors[static_cast<std::size_t>(r)]);
   }
 
   // Validation and accounting stay serial (and commutative: the tally
-  // reduction is a sum, so pipelined and phased runs report identical
-  // WireStats for the same traffic).
+  // reduction is a sum, so WireStats do not depend on pool scheduling).
   std::vector<std::vector<net::Message>> inboxes(n);
   std::size_t received_msgs = 0;
   for (int r = 0; r < ranks_; ++r) {

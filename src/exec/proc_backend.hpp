@@ -86,13 +86,13 @@ class ProcBackend final : public Backend {
 
   ProcConfig config_;
   std::vector<Worker> workers_;
-  /// Fork-join pool for step() rank work and the pipelined exchange's
+  /// Fork-join pool for step() rank work and the exchange's
   /// per-rank gather-sends / scatter-receives. Created at the END of the
   /// constructor, after every fork — so no pool thread is ever alive in
   /// a child process.
   std::unique_ptr<StepPool> pool_;
   /// A wire error occurred; skip graceful shutdown. Atomic because the
-  /// pipelined exchange phases run on pool threads.
+  /// exchange phases run on pool threads.
   std::atomic<bool> broken_{false};
 };
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "hpf/builder.hpp"
 #include "hpf/lexer.hpp"
@@ -88,11 +89,20 @@ class Parser {
   }
 
   // ---- grammar pieces -------------------------------------------------
+  /// An extent list; every extent must be positive, which Shape asserts,
+  /// so a zero extent is a diagnostic here rather than an abort there.
   Shape parse_shape() {
     expect(TokKind::LParen, "'('");
     std::vector<Extent> extents;
     do {
-      extents.push_back(expect_number());
+      const SourceLoc loc = peek().loc;
+      const Extent extent = expect_number();
+      if (ok_ && extent <= 0) {
+        diags_.error(DiagId::ParseError, loc,
+                     "extent must be positive, got " + std::to_string(extent));
+        ok_ = false;
+      }
+      extents.push_back(extent);
     } while (accept(TokKind::Comma));
     expect(TokKind::RParen, "')'");
     if (!ok_) return Shape{1};

@@ -16,8 +16,6 @@ NetStats& NetStats::operator+=(const NetStats& other) {
   segments += other.segments;
   supersteps += other.supersteps;
   fused_copies += other.fused_copies;
-  specialized_kernels += other.specialized_kernels;
-  specialized_dispatches += other.specialized_dispatches;
   plan_cache_hits += other.plan_cache_hits;
   plan_cache_misses += other.plan_cache_misses;
   symbolic_instantiations += other.symbolic_instantiations;
@@ -33,8 +31,6 @@ NetStats operator-(NetStats a, const NetStats& b) {
   a.segments -= b.segments;
   a.supersteps -= b.supersteps;
   a.fused_copies -= b.fused_copies;
-  a.specialized_kernels -= b.specialized_kernels;
-  a.specialized_dispatches -= b.specialized_dispatches;
   a.plan_cache_hits -= b.plan_cache_hits;
   a.plan_cache_misses -= b.plan_cache_misses;
   a.symbolic_instantiations -= b.symbolic_instantiations;
@@ -47,8 +43,7 @@ std::string NetStats::summary() const {
   os << messages << " msgs, " << format_bytes(bytes) << ", "
      << local_copies << " local copies (" << format_bytes(local_bytes)
      << "), " << segments << " segs, " << supersteps << " steps, "
-     << fused_copies << " fused, " << specialized_dispatches << " spec, "
-     << sim_time * 1e3 << " ms";
+     << fused_copies << " fused, " << sim_time * 1e3 << " ms";
   return os.str();
 }
 

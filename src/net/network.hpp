@@ -36,31 +36,19 @@ struct NetStats {
   /// alpha-term savings counter — it stays 0 when every copy runs its own
   /// superstep.
   std::uint64_t fused_copies = 0;
-  /// Specialized pack/unpack kernels installed by the runtime's plan
-  /// cache (one per SegmentProgram when a plan slot compiles; rises again
-  /// when an evicted slot recompiles — see docs/kernels.md). Stays 0
-  /// under RunOptions::interpret_kernels.
-  std::uint64_t specialized_kernels = 0;
-  /// Transfers executed through a specialized kernel instead of the
-  /// interpreted SegmentProgram walker, counted once per transfer at the
-  /// producing site (pack or local copy), so the count is invariant
-  /// across the fast-path / fusion toggles and the execution backends.
-  std::uint64_t specialized_dispatches = 0;
   /// Plan-slot compilations that found their symbolic plan's (N, P)
   /// instance already bound in the runtime's two-level plan cache (one
   /// lookup per plan-slot compile, counted at the producing site on the
   /// controlling thread, so the count is invariant across backends and
-  /// the fusion / fast-path / kernel toggles). Stays 0 under
-  /// RunOptions::concrete_plans.
+  /// the fusion toggle). Slots whose layout pair has no symbolic family
+  /// build their plan concretely and count neither a hit nor a miss.
   std::uint64_t plan_cache_hits = 0;
   /// Plan-slot compilations that found no bound instance for their
-  /// shapes (each is followed by a symbolic instantiation). Stays 0
-  /// under RunOptions::concrete_plans.
+  /// shapes (each is followed by a symbolic instantiation).
   std::uint64_t plan_cache_misses = 0;
   /// Concrete RedistPlanV2 instances built by binding a symbolic plan at
   /// (N, P) — one per cache miss; rises again when a dropped instance is
-  /// re-bound after plan-slot eviction. Stays 0 under
-  /// RunOptions::concrete_plans.
+  /// re-bound after plan-slot eviction.
   std::uint64_t symbolic_instantiations = 0;
   double sim_time = 0.0;  ///< seconds under the cost model
 

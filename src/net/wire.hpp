@@ -93,9 +93,10 @@ struct Frame {
   std::uint64_t frame_bytes = 0;   ///< on-wire size (header + body)
 };
 
-/// Encodes a complete message frame (header + body) ready for the wire.
-/// `reported` rides along in Inbox frames so workers can surface their
-/// mesh-phase traffic to the controller.
+/// Encodes a complete message frame (header + body) into one buffer: the
+/// byte oracle of encode_frame_gather (the exchange itself only sends
+/// gather frames). `reported` rides along in Inbox frames so workers can
+/// surface their mesh-phase traffic to the controller.
 std::vector<std::uint8_t> encode_frame(FrameKind kind, int src,
                                        std::span<const Message> messages,
                                        const Tally& reported = {});

@@ -4,16 +4,13 @@
 // product of per-array-dimension index sets under both layouts, each
 // pairwise set is the product of per-dimension intersections.
 //
-// Three implementations are provided:
-//  - build(): sorted-list intersections (the oracle; O(P_s * P_d * N)),
-//  - build_runs(): closed-form interval-run intersections per dimension
-//    in O(runs) via lcm-window arithmetic (the efficient method of the
-//    paper's reference [19]) — the hot path, producing a RedistPlanV2
-//    whose transfers stay symbolic,
-//  - build_periodic(): the historical materialized form, now a thin
-//    wrapper that materializes build_runs().
-// Tests assert all three produce identical element sets in identical
-// pack order.
+// build_runs() computes them as closed-form interval-run intersections per
+// dimension in O(runs) via lcm-window arithmetic (the efficient method of
+// the paper's reference [19]), producing a RedistPlanV2 whose transfers
+// stay symbolic; RedistPlanV2::materialize() expands it to explicit index
+// lists. The sorted-list oracle lives in testing/plan_oracle.hpp, and the
+// tests assert both produce identical element sets in identical pack
+// order.
 #pragma once
 
 #include <cstdint>
@@ -81,9 +78,6 @@ struct RedistPlanV2 {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Oracle communication sets via explicit sorted-list intersection.
-RedistPlan build(const ConcreteLayout& from, const ConcreteLayout& to);
-
 /// Efficient communication sets: per-dimension interval-run intersection
 /// of the two block-cyclic ownerships, O(runs) per (src, dst) pair via
 /// lcm-window arithmetic — plan construction never scales with the array
@@ -99,9 +93,5 @@ RedistPlanV2 build_runs(const ConcreteLayout& from, const ConcreteLayout& to);
 RedistPlanV2 intersect_ownerships(
     const std::vector<std::vector<IndexRuns>>& src_runs,
     const std::vector<std::vector<IndexRuns>>& dst_runs, int dims);
-
-/// The materialized form of build_runs (kept for differential tests and
-/// callers that want explicit index lists).
-RedistPlan build_periodic(const ConcreteLayout& from, const ConcreteLayout& to);
 
 }  // namespace hpfc::redist

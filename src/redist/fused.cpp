@@ -8,8 +8,7 @@
 namespace hpfc::redist {
 
 FusedExchange build_fused_exchange(
-    int ranks, std::span<const std::span<const SegmentProgram>> members,
-    bool include_local) {
+    int ranks, std::span<const std::span<const SegmentProgram>> members) {
   FusedExchange fused;
   fused.by_src.resize(static_cast<std::size_t>(ranks));
   fused.local_by_rank.resize(static_cast<std::size_t>(ranks));
@@ -18,13 +17,6 @@ FusedExchange build_fused_exchange(
   // table deterministic in (src, dst) order while frames append in member
   // order as the member walk below encounters each pair.
   std::map<std::pair<int, int>, std::size_t> pair_message;
-  const auto append_frame = [&](std::size_t msg, int m, int p,
-                                const SegmentProgram& tp) {
-    FusedMessage& fm = fused.messages[msg];
-    fm.frames.push_back({m, p, fm.elements, tp.elements});
-    fm.elements += tp.elements;
-    fm.segments += static_cast<int>(tp.segments.size());
-  };
 
   for (std::size_t m = 0; m < members.size(); ++m) {
     for (std::size_t p = 0; p < members[m].size(); ++p) {
@@ -33,22 +25,18 @@ FusedExchange build_fused_exchange(
                           tp.dst < ranks,
                       "fused member program outside the machine");
       if (tp.src == tp.dst) {
-        if (!include_local) {
-          fused.local_by_rank[static_cast<std::size_t>(tp.src)].push_back(
-              {static_cast<int>(m), static_cast<int>(p)});
-          continue;
-        }
-        // One self-message per program — the exact unit account_local
-        // books on the fast path, so local_copies agree either way.
-        fused.messages.push_back({tp.src, tp.dst, 0, 0, {}});
-        append_frame(fused.messages.size() - 1, static_cast<int>(m),
-                     static_cast<int>(p), tp);
+        fused.local_by_rank[static_cast<std::size_t>(tp.src)].push_back(
+            {static_cast<int>(m), static_cast<int>(p)});
         continue;
       }
       const auto [it, inserted] = pair_message.try_emplace(
           {tp.src, tp.dst}, fused.messages.size());
       if (inserted) fused.messages.push_back({tp.src, tp.dst, 0, 0, {}});
-      append_frame(it->second, static_cast<int>(m), static_cast<int>(p), tp);
+      FusedMessage& fm = fused.messages[it->second];
+      fm.frames.push_back(
+          {static_cast<int>(m), static_cast<int>(p), fm.elements, tp.elements});
+      fm.elements += tp.elements;
+      fm.segments += static_cast<int>(tp.segments.size());
     }
   }
 

@@ -52,8 +52,7 @@ struct FusedExchange {
   std::vector<FusedMessage> messages;
   /// Message-table indices each source rank emits, in table order.
   std::vector<std::vector<int>> by_src;
-  /// Per-rank local fast-path units, in member order. Empty when the
-  /// plan was built with include_local = true (force_message_path).
+  /// Per-rank local fast-path units, in member order.
   std::vector<std::vector<FusedLocal>> local_by_rank;
 };
 
@@ -62,12 +61,9 @@ struct FusedExchange {
 ///
 /// Off-rank pairs merge across members into one FusedMessage per
 /// (src, dst), framed in member order. src == dst programs never merge:
-/// with include_local = false they become per-rank FusedLocal units (the
-/// local-copy fast path), with include_local = true each becomes its own
-/// self-message — exactly the unit Backend::account_local books — so
-/// NetStats stay byte-identical whichever way rank-local data moves.
+/// each becomes a per-rank FusedLocal unit (the local-copy fast path),
+/// which Backend::account_local books exactly as a self-message.
 FusedExchange build_fused_exchange(
-    int ranks, std::span<const std::span<const SegmentProgram>> members,
-    bool include_local);
+    int ranks, std::span<const std::span<const SegmentProgram>> members);
 
 }  // namespace hpfc::redist

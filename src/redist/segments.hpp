@@ -12,12 +12,7 @@
 // per-element indices are never materialized or cached.
 //
 // The pack/unpack/copy_local walkers below interpret a SegmentProgram
-// segment by segment. On the runtime's hot path they are superseded by
-// the specialized kernels of redist/kernelgen.hpp (redist::specialize
-// lowers a program to precompiled constant-stride fragments), but they
-// remain authoritative: a kernel must reproduce their results byte for
-// byte, and RunOptions::interpret_kernels routes every transfer back
-// through them as the differential oracle (see docs/kernels.md).
+// segment by segment; they are the runtime's only transfer executor.
 #pragma once
 
 #include <cstdint>

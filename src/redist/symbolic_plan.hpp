@@ -10,7 +10,7 @@
 // pair loop of redist::build_runs (intersect_ownerships), so the
 // produced RedistPlanV2 is byte-identical to building concretely; the
 // concrete builder remains the differential oracle
-// (RunOptions::concrete_plans, tests/test_symbolic.cpp). Instances are
+// (tests/test_symbolic.cpp). Instances are
 // cached by shape key and shared by shared_ptr: a warm binding is one
 // map lookup, which is the "compile once, instantiate anywhere" story
 // bench_plan_build measures across the (N, P) sweep.

@@ -13,7 +13,6 @@
 #include "persist/snapshot.hpp"
 #include "redist/commsets.hpp"
 #include "redist/fused.hpp"
-#include "redist/kernelgen.hpp"
 #include "redist/segments.hpp"
 #include "redist/symbolic_plan.hpp"
 #include "support/check.hpp"
@@ -77,22 +76,18 @@ struct OwnershipProgram {
 struct PlanSlot {
   bool compiled = false;
   std::vector<redist::SegmentProgram> programs;
-  /// Specialized pack/unpack kernels, one per program (same indexing),
-  /// installed at compile time unless RunOptions::interpret_kernels; the
-  /// vector never reallocates afterwards, so FusedSlot may point into it.
-  std::vector<redist::Kernel> kernels;
   /// Payload buffer per program (tag); moved into the message on pack and
   /// reclaimed from the inbox after unpack.
   std::vector<std::vector<double>> payload_pool;
   /// Recycled outbox/inbox skeleton (outer and inner vector capacities).
   std::vector<std::vector<net::Message>> mailbox_pool;
   /// The symbolic plan instance this slot compiled from (nullptr for
-  /// unabstractable pairs and under RunOptions::concrete_plans). Instances
+  /// unabstractable pairs). Instances
   /// are shared across slots; the machine refcounts their footprint so a
   /// shared instance is charged once and survives until its last slot is
   /// evicted.
   std::shared_ptr<const redist::PlanInstance> instance;
-  /// Heap footprint of the compiled programs + kernels, charged against
+  /// Heap footprint of the compiled programs, charged against
   /// the memory limit (plan slots are evictable like array copies). The
   /// shared instance's bytes are accounted separately (refcounted).
   std::uint64_t plan_bytes = 0;
@@ -115,13 +110,10 @@ struct PendingCopy {
 /// the group-level analogue of PlanSlot.
 struct FusedSlot {
   std::vector<PendingCopy> members;
-  /// members[m]'s compiled programs (borrowed from its PlanSlot).
+  /// members[m]'s compiled programs (borrowed from its PlanSlot). Cached
+  /// fused slots are invalidated whenever a member plan slot is evicted,
+  /// so these pointers never dangle.
   std::vector<const std::vector<redist::SegmentProgram>*> programs;
-  /// members[m]'s specialized kernels (borrowed from its PlanSlot; the
-  /// pointed-to vector is empty under RunOptions::interpret_kernels).
-  /// Cached fused slots are invalidated whenever a member plan slot is
-  /// evicted, so these pointers never dangle.
-  std::vector<const std::vector<redist::Kernel>*> kernels;
   /// members[m]'s (source, destination) version storage. VersionStorage
   /// objects are allocated once at machine construction, so the pointers
   /// are stable for the whole run.
@@ -140,9 +132,6 @@ struct CopyTally {
   std::uint64_t local_elements = 0;
   std::uint64_t packed_bytes = 0;
   std::uint64_t unpacked = 0;
-  /// Transfers this rank executed through a specialized kernel at the
-  /// producing site (pack or local copy; unpacks are not re-counted).
-  std::uint64_t specialized = 0;
 
   friend bool operator==(const CopyTally&, const CopyTally&) = default;
 };
@@ -161,8 +150,7 @@ class Machine {
         backend_(exec::make_backend(
             code != nullptr ? options.backend : exec::BackendKind::Seq,
             machine_ranks(program, options), options.cost, options.threads,
-            exec::ProcConfig{options.proc_tcp, options.proc_timeout_ms,
-                             options.no_pipeline})) {
+            exec::ProcConfig{options.proc_tcp, options.proc_timeout_ms})) {
     const std::size_t num_arrays = program_.arrays.size();
     status_.assign(num_arrays, 0);
     storage_.resize(num_arrays);
@@ -434,8 +422,7 @@ class Machine {
     }
     // Storage eviction alone may not reach the budget (everything left is
     // current, pinned, or a dummy origin): fall back to dropping compiled
-    // plan slots, which recompile — and re-specialize — lazily on their
-    // next Copy.
+    // plan slots, which recompile lazily on their next Copy.
     if (bytes_in_use_ > options_.memory_limit) evict_plan_slots(-1);
   }
 
@@ -446,10 +433,10 @@ class Machine {
   }
 
   /// Second-phase eviction (the plan-cache analogue of §5.2): drops
-  /// compiled plan slots — segment programs, specialized kernels, pooled
-  /// buffers — largest first until the budget fits. An evicted slot is
-  /// recompiled on its next use, so specialized_kernels rises while every
-  /// data-volume counter stays put.
+  /// compiled plan slots — segment programs and pooled buffers — largest
+  /// first until the budget fits. An evicted slot is recompiled on its
+  /// next use, so the plan-cache lookups rise while every data-volume
+  /// counter stays put.
   void evict_plan_slots(int keep_slot) {
     std::vector<std::pair<std::uint64_t, std::size_t>> victims;
     for (std::size_t s = 0; s < plan_slots_.size(); ++s) {
@@ -487,7 +474,7 @@ class Machine {
     release_instance(plan_slots_[s].instance);
     plan_slots_[s] = PlanSlot{};
     // Cached fused rounds borrow pointers into their member plan slots'
-    // programs and kernels; invalidate every round that references this
+    // programs; invalidate every round that references this
     // slot so the pointers can never dangle.
     std::erase_if(fused_slots_, [&](const auto& kv) {
       return std::find(kv.first.begin(), kv.first.end(),
@@ -496,13 +483,11 @@ class Machine {
     ++report_.plan_evictions;
   }
 
-  /// Heap footprint of a compiled slot's patched tables: the interpreted
-  /// segment list plus (when installed) the specialized kernels.
+  /// Heap footprint of a compiled slot's segment tables.
   static std::uint64_t plan_slot_bytes(const PlanSlot& slot) {
     std::uint64_t bytes = 0;
     for (const auto& tp : slot.programs)
       bytes += tp.segments.capacity() * sizeof(redist::CopySegment);
-    for (const auto& kernel : slot.kernels) bytes += kernel.footprint_bytes();
     return bytes;
   }
 
@@ -676,19 +661,11 @@ class Machine {
   /// lives here exactly once so the fused and unfused paths cannot drift
   /// apart in their NetStats arithmetic.
   /// Runs one phase's rank loop through the backend (per-rank concurrency
-  /// on thread/proc) or, under RunOptions::no_pipeline, as a plain serial
-  /// loop on the controller thread — the phased differential oracle. Both
-  /// visit every rank exactly once over rank-owned state, so results and
-  /// counters are identical by construction. Returns the phase's
-  /// wall-clock in milliseconds.
+  /// on thread/proc) and returns the phase's wall-clock in milliseconds.
   template <typename Fn>
   double phase_step(const Fn& fn) {
     const auto start = std::chrono::steady_clock::now();
-    if (options_.no_pipeline) {
-      for (int r = 0; r < backend_->ranks(); ++r) fn(r);
-    } else {
-      backend_->step(fn);
-    }
+    backend_->step(fn);
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - start)
         .count();
@@ -709,17 +686,14 @@ class Machine {
     std::uint64_t local_copies = 0;
     std::uint64_t local_bytes = 0;
     std::uint64_t local_segments = 0;
-    std::uint64_t specialized = 0;
     for (const CopyTally& tally : copy_tallies_) {
       local_copies += tally.local_copies;
       local_bytes += tally.local_bytes;
       local_segments += tally.local_segments;
-      specialized += tally.specialized;
       report_.elements_copied += tally.local_elements;
       report_.packed_bytes += tally.packed_bytes;
     }
     backend_->account_local(local_copies, local_bytes, local_segments);
-    if (specialized != 0) backend_->account_specialization(0, specialized);
     report_.local_fastpath_copies += local_copies;
 
     const auto exchange_start = std::chrono::steady_clock::now();
@@ -763,21 +737,14 @@ class Machine {
   /// optionally restricted to a live region. Remote transfers pack into
   /// pooled payload buffers and go through the exchange; src == dst
   /// transfers run as direct strided local copies (no message is ever
-  /// materialized) unless RunOptions::force_message_path is set. The
-  /// NetStats are byte-identical either way: local copies are accounted
-  /// through Backend::account_local with the exact counters a
-  /// self-message would have produced.
+  /// materialized), accounted through Backend::account_local with the
+  /// exact counters a self-message would have produced.
   void copy(ArrayId a, int src, int dst, const ir::Region& region,
             int plan_slot) {
     allocate(a, src);  // an untouched source is all zeros, like canonical
     allocate(a, dst);
     PlanSlot& slot = transfer_plan(a, src, dst, region, plan_slot);
     const auto& programs = slot.programs;
-    const auto& kernels = slot.kernels;
-    // Empty under RunOptions::interpret_kernels: fall back to the
-    // interpreted segment walker (the differential oracle of the kernels).
-    const bool use_kernels = !kernels.empty();
-    const bool fast_local = !options_.force_message_path;
 
     auto& from = storage_[static_cast<std::size_t>(a)]
                          [static_cast<std::size_t>(src)];
@@ -791,15 +758,9 @@ class Machine {
           for (std::size_t t = 0; t < programs.size(); ++t) {
             const redist::SegmentProgram& tp = programs[t];
             if (tp.src != r) continue;
-            if (fast_local && tp.dst == r) {
-              if (use_kernels) {
-                kernels[t].copy(from.locals[static_cast<std::size_t>(r)],
-                                to.locals[static_cast<std::size_t>(r)]);
-                ++tally.specialized;
-              } else {
-                redist::copy_local(tp, from.locals[static_cast<std::size_t>(r)],
-                                   to.locals[static_cast<std::size_t>(r)]);
-              }
+            if (tp.dst == r) {
+              redist::copy_local(tp, from.locals[static_cast<std::size_t>(r)],
+                                 to.locals[static_cast<std::size_t>(r)]);
               tally_local(tally, tp);
               continue;
             }
@@ -809,15 +770,8 @@ class Machine {
             msg.tag = static_cast<int>(t);
             msg.segments = static_cast<int>(tp.segments.size());
             msg.payload = std::move(slot.payload_pool[t]);
-            if (use_kernels) {
-              msg.payload.resize(static_cast<std::size_t>(tp.elements));
-              kernels[t].pack(from.locals[static_cast<std::size_t>(tp.src)],
-                              msg.payload);
-              ++tally.specialized;
-            } else {
-              redist::pack(tp, from.locals[static_cast<std::size_t>(tp.src)],
-                           msg.payload);
-            }
+            redist::pack(tp, from.locals[static_cast<std::size_t>(tp.src)],
+                         msg.payload);
             tally.packed_bytes += msg.bytes();
             outbox.push_back(std::move(msg));
           }
@@ -825,14 +779,8 @@ class Machine {
         [&](int, const net::Message& msg) {
           const redist::SegmentProgram& tp =
               programs[static_cast<std::size_t>(msg.tag)];
-          // Unpacks are not re-counted in tally.specialized: a transfer's
-          // dispatch is booked once, at the producing site.
-          if (use_kernels)
-            kernels[static_cast<std::size_t>(msg.tag)].unpack(
-                msg.payload, to.locals[static_cast<std::size_t>(tp.dst)]);
-          else
-            redist::unpack(tp, msg.payload,
-                           to.locals[static_cast<std::size_t>(tp.dst)]);
+          redist::unpack(tp, msg.payload,
+                         to.locals[static_cast<std::size_t>(tp.dst)]);
         });
     to.dirty = true;
     ++report_.copies_performed;
@@ -850,12 +798,11 @@ class Machine {
     const ConcreteLayout& to = layout(a, dst);
     // Two-level plan cache: serve the slot from its symbolic family's
     // bound (N, P) instance when codegen assigned one, falling back to
-    // the concrete builder — the differential oracle — for unabstractable
-    // pairs and under the concrete_plans A/B toggle. Both paths intersect
+    // the concrete builder for unabstractable pairs. Both paths intersect
     // the same ownership run sets, so the plan is byte-identical.
     const int family = family_of_slot(plan_slot);
     redist::RedistPlanV2 local_plan;
-    if (family >= 0 && !options_.concrete_plans)
+    if (family >= 0)
       slot.instance = acquire_instance(family, from, to);
     else
       local_plan = redist::build_runs(from, to);
@@ -884,16 +831,6 @@ class Machine {
           redist::compile_transfer(*t, sit->second, dit->second));
     }
     slot.payload_pool.resize(slot.programs.size());
-    // Specialize each compiled program into a pack/unpack kernel unless
-    // the A/B toggle keeps the interpreter (the kernels' differential
-    // oracle) in charge. Installed once per compile; an evicted slot
-    // re-installs on recompilation, so specialized_kernels counts both.
-    if (!options_.interpret_kernels) {
-      slot.kernels.reserve(slot.programs.size());
-      for (const auto& tp : slot.programs)
-        slot.kernels.push_back(redist::specialize(tp));
-      backend_->account_specialization(slot.kernels.size(), 0);
-    }
     slot.compiled = true;
     // The compiled tables are memory like any copy: charge them against
     // the budget and fall back to evicting *other* plan slots when the
@@ -1017,12 +954,10 @@ class Machine {
     slot.endpoints.reserve(pending_.size());
     std::vector<std::span<const redist::SegmentProgram>> spans;
     spans.reserve(pending_.size());
-    slot.kernels.reserve(pending_.size());
     for (const PendingCopy& m : pending_) {
-      const PlanSlot& plan = plan_slots_[static_cast<std::size_t>(m.plan_slot)];
-      const auto& programs = plan.programs;
+      const auto& programs =
+          plan_slots_[static_cast<std::size_t>(m.plan_slot)].programs;
       slot.programs.push_back(&programs);
-      slot.kernels.push_back(&plan.kernels);
       spans.emplace_back(programs);
       slot.endpoints.push_back(
           {&storage_[static_cast<std::size_t>(m.array)]
@@ -1030,18 +965,16 @@ class Machine {
            &storage_[static_cast<std::size_t>(m.array)]
                     [static_cast<std::size_t>(m.dst)]});
     }
-    slot.exchange = redist::build_fused_exchange(
-        backend_->ranks(), spans, options_.force_message_path);
+    slot.exchange = redist::build_fused_exchange(backend_->ranks(), spans);
     slot.payload_pool.resize(slot.exchange.messages.size());
     return slot;
   }
 
   /// The fused analogue of copy(): one pack step over combined messages,
   /// ONE exchange for the whole member set, one unpack step by frame. The
-  /// local fast path and force_message_path behave per member program
-  /// exactly as in the unfused path, so every data-volume counter
-  /// (elements, bytes, segments, local copies) is byte-identical to
-  /// running the members one superstep each.
+  /// local fast path behaves per member program exactly as in the unfused
+  /// path, so every data-volume counter (elements, bytes, segments, local
+  /// copies) is byte-identical to running the members one superstep each.
   void run_fused() {
     FusedSlot& slot = fused_slot();
     const redist::FusedExchange& fx = slot.exchange;
@@ -1049,14 +982,6 @@ class Machine {
         [&slot](int member, int program) -> const redist::SegmentProgram& {
       const auto& programs = *slot.programs[static_cast<std::size_t>(member)];
       return programs[static_cast<std::size_t>(program)];
-    };
-    // nullptr when the member's plan slot carries no kernels (the
-    // interpret_kernels toggle): the caller falls back to the walker.
-    const auto member_kernel =
-        [&slot](int member, int program) -> const redist::Kernel* {
-      const auto& kernels = *slot.kernels[static_cast<std::size_t>(member)];
-      if (kernels.empty()) return nullptr;
-      return &kernels[static_cast<std::size_t>(program)];
     };
 
     copy_superstep(
@@ -1068,14 +993,8 @@ class Machine {
                 member_program(u.member, u.program);
             const auto& [from, to] =
                 slot.endpoints[static_cast<std::size_t>(u.member)];
-            if (const redist::Kernel* k = member_kernel(u.member, u.program)) {
-              k->copy(from->locals[static_cast<std::size_t>(r)],
-                      to->locals[static_cast<std::size_t>(r)]);
-              ++tally.specialized;
-            } else {
-              redist::copy_local(tp, from->locals[static_cast<std::size_t>(r)],
-                                 to->locals[static_cast<std::size_t>(r)]);
-            }
+            redist::copy_local(tp, from->locals[static_cast<std::size_t>(r)],
+                               to->locals[static_cast<std::size_t>(r)]);
             tally_local(tally, tp);
           }
           for (const int mi : fx.by_src[static_cast<std::size_t>(r)]) {
@@ -1095,15 +1014,9 @@ class Machine {
               const std::span<double> window(
                   msg.payload.data() + fr.offset,
                   static_cast<std::size_t>(fr.len));
-              if (const redist::Kernel* k =
-                      member_kernel(fr.member, fr.program)) {
-                k->pack(from->locals[static_cast<std::size_t>(r)], window);
-                ++tally.specialized;
-              } else {
-                redist::pack_into(member_program(fr.member, fr.program),
-                                  from->locals[static_cast<std::size_t>(r)],
-                                  window);
-              }
+              redist::pack_into(member_program(fr.member, fr.program),
+                                from->locals[static_cast<std::size_t>(r)],
+                                window);
             }
             tally.packed_bytes += msg.bytes();
             outbox.push_back(std::move(msg));
@@ -1118,11 +1031,8 @@ class Machine {
             const std::span<const double> window(
                 msg.payload.data() + fr.offset,
                 static_cast<std::size_t>(fr.len));
-            if (const redist::Kernel* k = member_kernel(fr.member, fr.program))
-              k->unpack(window, to->locals[static_cast<std::size_t>(r)]);
-            else
-              redist::unpack(member_program(fr.member, fr.program), window,
-                             to->locals[static_cast<std::size_t>(r)]);
+            redist::unpack(member_program(fr.member, fr.program), window,
+                           to->locals[static_cast<std::size_t>(r)]);
           }
         });
     for (const auto& [from, to] : slot.endpoints) to->dirty = true;

@@ -47,14 +47,9 @@ struct RunOptions {
   /// only exec_ms differs. The oracle always runs sequentially.
   exec::BackendKind backend = exec::BackendKind::Seq;
   /// Worker threads for the thread backend (clamped to [1, ranks];
-  /// 0 = min(ranks, hardware threads)). Ignored by the seq backend.
+  /// 0 = min(ranks, CPUs in the affinity mask)). Ignored by the seq
+  /// backend.
   int threads = 0;
-  /// Disable the src == dst local-copy fast path and materialize every
-  /// transfer as a self-message through the exchange, as the runtime did
-  /// historically. Results and NetStats are identical either way (the
-  /// differential tests assert it); only packed_bytes and
-  /// local_fastpath_copies move. For tests and A/B measurements.
-  bool force_message_path = false;
   /// Disable cross-array message aggregation and run every Copy op as its
   /// own exchange superstep, as the runtime did historically. Results and
   /// the data-volume counters (elements, bytes, segments, checksums) are
@@ -64,35 +59,6 @@ struct RunOptions {
   /// its members' endpoints until the shared flush. For tests and A/B
   /// measurements.
   bool unfuse_copy_groups = false;
-  /// Disable the specialized pack/unpack kernels and execute every
-  /// transfer through the interpreted SegmentProgram walker, as the
-  /// runtime did historically. Results and every NetStats counter except
-  /// specialized_kernels / specialized_dispatches are byte-identical
-  /// either way (the differential tests and `check_bench_regression
-  /// --identical` assert it); only exec_ms moves. The interpreter is the
-  /// differential oracle of the kernel layer — see docs/kernels.md. For
-  /// tests and A/B measurements.
-  bool interpret_kernels = false;
-  /// Bypass the symbolic plan cache and build every plan slot's
-  /// redistribution plan directly from the concrete layouts
-  /// (redist::build_runs), as the runtime did historically. Plans are
-  /// byte-identical either way — both paths intersect the same ownership
-  /// run sets — so results and every NetStats counter except
-  /// plan_cache_hits / plan_cache_misses / symbolic_instantiations are
-  /// unchanged (those three stay 0). The concrete builder is the
-  /// differential oracle of the symbolic plan layer — see
-  /// tests/test_symbolic.cpp. For tests and A/B measurements.
-  bool concrete_plans = false;
-  /// Run the superstep's pack and unpack phases as plain serial loops on
-  /// the controller thread and ship proc-backend frames through the
-  /// historical encode-copy path, instead of routing them through
-  /// Backend::step (per-rank concurrency) and the scatter-gather wire
-  /// path. Results, NetStats, inbox order, and checksums are identical
-  /// either way (the differential tests and `check_bench_regression
-  /// --identical` assert it); only exec_ms and the pack_ms / exchange_ms /
-  /// unpack_ms phase timers move. The phased leg is the pipeline's
-  /// differential oracle. For tests and A/B measurements.
-  bool no_pipeline = false;
   /// Proc backend only: route the socket mesh over TCP loopback
   /// connections instead of AF_UNIX socketpairs (same frames, real
   /// network stack). An environment A/B knob.
@@ -111,8 +77,8 @@ struct RunOptions {
   /// Ignored without snapshot_dir.
   int snapshot_every = 1;
 
-  /// Sets a boolean toggle by registry name ("force-message-path" /
-  /// "force_message_path" — both spellings resolve; see
+  /// Sets a boolean toggle by registry name ("unfuse-copy-groups" /
+  /// "unfuse_copy_groups" — both spellings resolve; see
   /// runtime/toggles.hpp). Returns false when no such toggle exists.
   bool set(std::string_view toggle, bool value = true);
 };
@@ -133,15 +99,14 @@ struct RunReport {
   int allocations = 0;
   int frees = 0;
   int evictions = 0;
-  /// Compiled plan slots (segment programs + specialized kernels) dropped
-  /// under memory pressure after storage eviction alone could not satisfy
-  /// the limit; each one is re-compiled — and re-specialized — on its
-  /// next use.
+  /// Compiled plan slots (segment programs) dropped under memory pressure
+  /// after storage eviction alone could not satisfy the limit; each one
+  /// is re-compiled on its next use.
   int plan_evictions = 0;
   std::uint64_t peak_bytes = 0;
   /// Payload bytes actually materialized into message buffers while
-  /// packing (remote transfers only when the local fast path is active;
-  /// every transfer under RunOptions::force_message_path).
+  /// packing (remote transfers only: src == dst transfers take the local
+  /// fast path).
   std::uint64_t packed_bytes = 0;
   /// src == dst transfers executed as direct strided local copies,
   /// bypassing message materialization entirely.
@@ -163,7 +128,7 @@ struct RunReport {
 
   // Superstep phase timers: wall-clock accumulated over every exchange
   // superstep's pack / exchange / unpack window (run_benches' timeout
-  // diagnostics and the pipeline A/B read them). They sum to less than
+  // diagnostics read them). They sum to less than
   // exec_ms — guard evaluation, plan compilation, and local fast-path
   // copies run outside the three windows.
   double pack_ms = 0.0;

@@ -5,23 +5,10 @@ namespace hpfc::runtime {
 namespace {
 
 constexpr Toggle kToggles[] = {
-    {"force-message-path", "force_message_path",
-     &RunOptions::force_message_path,
-     "materialize src == dst transfers as self-messages (disable the "
-     "local-copy fast path)"},
     {"unfuse-copy-groups", "unfuse_copy_groups",
      &RunOptions::unfuse_copy_groups,
      "one exchange superstep per Copy op (disable cross-array message "
      "aggregation)"},
-    {"interpret-kernels", "interpret_kernels", &RunOptions::interpret_kernels,
-     "run every transfer through the interpreted SegmentProgram walker "
-     "(disable specialized pack/unpack kernels)"},
-    {"concrete-plans", "concrete_plans", &RunOptions::concrete_plans,
-     "build every redistribution plan from concrete layouts (bypass the "
-     "symbolic plan cache)"},
-    {"no-pipeline", "no_pipeline", &RunOptions::no_pipeline,
-     "run pack/exchange/unpack as serial controller phases (disable "
-     "backend-parallel pack/unpack and the scatter-gather wire path)"},
     {"paranoid", "paranoid", &RunOptions::paranoid,
      "validate the liveness invariant after every step (slow; for tests)"},
     {"proc-tcp", "proc_tcp", &RunOptions::proc_tcp,

@@ -4,8 +4,8 @@
 // hand-rolling its own flag list (the sprawl this replaces).
 //
 // Each toggle has two spellings: `name` is the kebab-case CLI surface
-// ("force-message-path", yielding --force-message-path) and `key` is the
-// snake_case member / JSON spelling ("force_message_path").
+// ("unfuse-copy-groups", yielding --unfuse-copy-groups) and `key` is the
+// snake_case member / JSON spelling ("unfuse_copy_groups").
 // find_toggle() resolves either. Adding a toggle here is the whole job:
 // RunOptions::set picks it up, support::cli::RunFlags grows the flag,
 // `hpfc --list-toggles` and the bench harness print it, and
@@ -21,8 +21,8 @@ namespace hpfc::runtime {
 
 /// One registered boolean switch on RunOptions.
 struct Toggle {
-  std::string_view name;  ///< kebab-case CLI spelling ("force-message-path")
-  std::string_view key;   ///< snake_case member spelling ("force_message_path")
+  std::string_view name;  ///< kebab-case CLI spelling ("unfuse-copy-groups")
+  std::string_view key;   ///< snake_case member spelling ("unfuse_copy_groups")
   bool RunOptions::* flag;  ///< the member the toggle flips
   std::string_view help;  ///< one-line description for --help output
 };

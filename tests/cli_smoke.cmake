@@ -4,9 +4,11 @@
 # Compiles examples/quickstart.hpf (the HPF-lite form of
 # examples/quickstart.cpp) at all three levels via --run --compare and
 # asserts:
-#   1. exit code 0 with every level matching the sequential oracle, and
+#   1. exit code 0 with every level matching the sequential oracle,
 #   2. O2 copies strictly fewer elements than O0 (the final
-#      mapping-restoring redistribution is removed as useless).
+#      mapping-restoring redistribution is removed as useless), and
+#   3. a source with a zero extent is rejected with a diagnostic and a
+#      non-zero exit, never an abort.
 if(NOT DEFINED HPFC_BIN)
   message(FATAL_ERROR "cli_smoke: pass -DHPFC_BIN=<path to hpfc>")
 endif()
@@ -91,7 +93,7 @@ foreach(level O0 O1 O2)
   endif()
 endforeach()
 foreach(field copies_performed elements_copied messages bytes segments
-        supersteps fused_copies specialized_kernels specialized_dispatches
+        supersteps fused_copies
         plan_cache_hits plan_cache_misses symbolic_instantiations
         plan_evictions packed_bytes local_fastpath_copies
         skipped_already_mapped skipped_live_copy
@@ -108,12 +110,6 @@ endif()
 if(report MATCHES "\"proc_spawns\": [1-9]")
   message(FATAL_ERROR
     "cli_smoke: seq run claims to have spawned workers:\n${report}")
-endif()
-# The default path runs through specialized kernels: every executed level
-# installs at least one and dispatches through it.
-if(report MATCHES "\"specialized_kernels\": 0[,}]")
-  message(FATAL_ERROR
-    "cli_smoke: default run installed no specialized kernels:\n${report}")
 endif()
 # The default path serves plan slots from the symbolic plan cache: every
 # executed level binds at least one (N, P) instance.
@@ -164,8 +160,7 @@ if(NOT thread_report MATCHES "\"backend\": \"thread\"")
     "cli_smoke: thread report JSON missing backend key:\n${thread_report}")
 endif()
 foreach(field copies_performed elements_copied messages bytes local_copies
-        segments supersteps fused_copies specialized_kernels
-        specialized_dispatches plan_cache_hits plan_cache_misses
+        segments supersteps fused_copies plan_cache_hits plan_cache_misses
         symbolic_instantiations plan_evictions packed_bytes
         local_fastpath_copies skipped_already_mapped skipped_live_copy)
   string(REGEX MATCHALL "\"${field}\": [0-9]+" seq_counts "${report}")
@@ -205,8 +200,7 @@ if(NOT proc_report MATCHES "\"backend\": \"proc\"")
     "cli_smoke: proc report JSON missing backend key:\n${proc_report}")
 endif()
 foreach(field copies_performed elements_copied messages bytes local_copies
-        segments supersteps fused_copies specialized_kernels
-        specialized_dispatches plan_cache_hits plan_cache_misses
+        segments supersteps fused_copies plan_cache_hits plan_cache_misses
         symbolic_instantiations plan_evictions packed_bytes
         local_fastpath_copies skipped_already_mapped skipped_live_copy)
   string(REGEX MATCHALL "\"${field}\": [0-9]+" seq_counts "${report}")
@@ -239,96 +233,42 @@ if(NOT toggles_status EQUAL 0)
   message(FATAL_ERROR "cli_smoke: hpfc --list-toggles exited with "
     "${toggles_status}\nstderr:\n${toggles_err}")
 endif()
-foreach(flag force-message-path unfuse-copy-groups interpret-kernels
-        concrete-plans no-pipeline paranoid proc-tcp proc-timeout-ms=
-        snapshot-dir= snapshot-every=)
+# The registry holds exactly the three remaining toggles, then the
+# value-taking knobs.
+string(REGEX MATCHALL "--[a-z-]+\t" toggle_flags "${toggles_out}")
+if(NOT toggle_flags STREQUAL "--unfuse-copy-groups\t;--paranoid\t;--proc-tcp\t")
+  message(FATAL_ERROR
+    "cli_smoke: --list-toggles should list exactly --unfuse-copy-groups, "
+    "--paranoid and --proc-tcp:\n${toggles_out}")
+endif()
+foreach(flag proc-timeout-ms= snapshot-dir= snapshot-every=)
   if(NOT toggles_out MATCHES "--${flag}\t")
     message(FATAL_ERROR
       "cli_smoke: --list-toggles is missing --${flag}:\n${toggles_out}")
   endif()
 endforeach()
 
-# The interpreted segment walker (--interpret-kernels) is the kernels'
-# differential oracle: every counter except the specialization pair must
-# match the default run exactly, and specialized_kernels must read 0.
-set(interp_report_json "${_bin_dir}/cli_smoke_report_interp.json")
-file(REMOVE "${interp_report_json}")
+# Malformed input: a zero extent is a front-end diagnostic, not an
+# InternalError abort (exit 134).
+set(zero_source "${_bin_dir}/cli_smoke_zero_extent.hpf")
+file(WRITE "${zero_source}"
+  "routine zero\nprocessors P(4)\nreal A(0)\n"
+  "distribute A(block) onto P\nbegin\n  use(A)\nend\n")
 execute_process(
-  COMMAND "${HPFC_BIN}" "${HPFC_SOURCE_DIR}/examples/quickstart.hpf"
-          --run --compare --interpret-kernels
-          --report-json=${interp_report_json}
-  OUTPUT_VARIABLE interp_out
-  ERROR_VARIABLE interp_err
-  RESULT_VARIABLE interp_status)
-if(NOT interp_status EQUAL 0)
-  message(FATAL_ERROR "cli_smoke: hpfc --interpret-kernels exited with "
-    "${interp_status}\nstdout:\n${interp_out}\nstderr:\n${interp_err}")
-endif()
-if(interp_out MATCHES "MISMATCH")
+  COMMAND "${HPFC_BIN}" "${zero_source}" --run
+  OUTPUT_VARIABLE zero_out
+  ERROR_VARIABLE zero_err
+  RESULT_VARIABLE zero_status)
+if(zero_status EQUAL 0 OR NOT zero_status MATCHES "^[0-9]+$"
+   OR zero_status EQUAL 134)
   message(FATAL_ERROR
-    "cli_smoke: interpreted path diverged from the oracle:\n${interp_out}")
+    "cli_smoke: a zero extent should fail with a diagnostic, got exit "
+    "'${zero_status}'\nstdout:\n${zero_out}\nstderr:\n${zero_err}")
 endif()
-file(READ "${interp_report_json}" interp_report)
-if(NOT interp_report MATCHES "\"specialized_kernels\": 0[,}]")
+if(NOT zero_err MATCHES "parse-error.*extent must be positive")
   message(FATAL_ERROR
-    "cli_smoke: --interpret-kernels still installed kernels:\n${interp_report}")
+    "cli_smoke: zero extent produced no diagnostic on stderr:\n${zero_err}")
 endif()
-foreach(field copies_performed elements_copied messages bytes local_copies
-        segments supersteps fused_copies plan_cache_hits plan_cache_misses
-        symbolic_instantiations plan_evictions packed_bytes
-        local_fastpath_copies skipped_already_mapped skipped_live_copy)
-  string(REGEX MATCHALL "\"${field}\": [0-9]+" seq_counts "${report}")
-  string(REGEX MATCHALL "\"${field}\": [0-9]+" interp_counts "${interp_report}")
-  if(NOT seq_counts STREQUAL interp_counts)
-    message(FATAL_ERROR
-      "cli_smoke: ${field} differs across the kernel toggle\n"
-      "specialized: ${seq_counts}\ninterpreted: ${interp_counts}")
-  endif()
-endforeach()
-
-# The concrete plan builder (--concrete-plans) is the symbolic layer's
-# differential oracle: every counter except the plan-cache triple must
-# match the default run exactly, and the triple must read 0.
-set(concrete_report_json "${_bin_dir}/cli_smoke_report_concrete.json")
-file(REMOVE "${concrete_report_json}")
-execute_process(
-  COMMAND "${HPFC_BIN}" "${HPFC_SOURCE_DIR}/examples/quickstart.hpf"
-          --run --compare --concrete-plans
-          --report-json=${concrete_report_json}
-  OUTPUT_VARIABLE concrete_out
-  ERROR_VARIABLE concrete_err
-  RESULT_VARIABLE concrete_status)
-if(NOT concrete_status EQUAL 0)
-  message(FATAL_ERROR "cli_smoke: hpfc --concrete-plans exited with "
-    "${concrete_status}\nstdout:\n${concrete_out}\nstderr:\n${concrete_err}")
-endif()
-if(concrete_out MATCHES "MISMATCH")
-  message(FATAL_ERROR
-    "cli_smoke: concrete-plan path diverged from the oracle:\n${concrete_out}")
-endif()
-file(READ "${concrete_report_json}" concrete_report)
-foreach(field plan_cache_hits plan_cache_misses symbolic_instantiations)
-  string(REGEX MATCHALL "\"${field}\": [0-9]+" zeros "${concrete_report}")
-  foreach(entry IN LISTS zeros)
-    if(NOT entry MATCHES ": 0$")
-      message(FATAL_ERROR
-        "cli_smoke: --concrete-plans still touched the symbolic cache "
-        "(${entry}):\n${concrete_report}")
-    endif()
-  endforeach()
-endforeach()
-foreach(field copies_performed elements_copied messages bytes local_copies
-        segments supersteps fused_copies specialized_kernels
-        specialized_dispatches plan_evictions packed_bytes
-        local_fastpath_copies skipped_already_mapped skipped_live_copy)
-  string(REGEX MATCHALL "\"${field}\": [0-9]+" seq_counts "${report}")
-  string(REGEX MATCHALL "\"${field}\": [0-9]+" concrete_counts "${concrete_report}")
-  if(NOT seq_counts STREQUAL concrete_counts)
-    message(FATAL_ERROR
-      "cli_smoke: ${field} differs across the plan toggle\n"
-      "symbolic: ${seq_counts}\nconcrete: ${concrete_counts}")
-  endif()
-endforeach()
 
 # --snapshot-dir: the run seals crash-consistent snapshots, the report's
 # snapshot counters come alive, and the CLI's own post-run restore fills
@@ -389,5 +329,5 @@ endforeach()
 
 message(STATUS
   "cli_smoke: OK (O0 copied ${o0_elems} elems, O2 copied ${o2_elems}, "
-  "seq/thread/proc backends and the kernel and plan toggles agree, "
+  "seq/thread/proc backends agree, malformed input is diagnosed, "
   "snapshots seal and restore, report at ${report_json})")

@@ -6,7 +6,10 @@
 // The proc backend additionally proves its robustness contract: a killed
 // worker surfaces as a bounded-time ProcError diagnostic, never a hang.
 #include <gtest/gtest.h>
+#include <sched.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstring>
@@ -99,6 +102,35 @@ TEST(Backend, StepRunsEveryRankExactlyOnce) {
     // Steps are pure computation: no superstep was charged.
     EXPECT_EQ(backend->stats().supersteps, 0u);
   }
+}
+
+/// The automatic pool size follows the CPU affinity mask, not the host's
+/// core count: a process pinned to one CPU runs its rank work on one
+/// thread. Pinning happens in a forked child so the test process keeps
+/// its own mask.
+TEST(StepPool, AutoSizeFollowsTheAffinityMask) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &allowed)) ++cpu;
+  EXPECT_EQ(exec::usable_cpus(), CPU_COUNT(&allowed));
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (::sched_setaffinity(0, sizeof(one), &one) != 0) ::_exit(2);
+    const exec::StepPool pool(4, 0);
+    ::_exit(pool.threads() == 1 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "a pool in a one-CPU process did not size itself to one thread";
 }
 
 TEST(Backend, StepRethrowsRankFailures) {
@@ -400,45 +432,6 @@ TEST(Wire, GatherSendDrainsThroughTinySendBuffer) {
     EXPECT_EQ(frame.messages[i].payload, messages[i].payload);
 }
 
-/// The pipelined (pooled scatter-gather) and phased (serial encode-copy)
-/// controller paths put the same frames on the wire: identical inboxes,
-/// NetStats, and WireStats for the same traffic.
-TEST(Backend, ProcPipelinedMatchesPhasedExchange) {
-  std::mt19937 rng(21);
-  for (const int ranks : {2, 5}) {
-    std::vector<std::vector<net::Message>> outboxes(
-        static_cast<std::size_t>(ranks));
-    for (int src = 0; src < ranks; ++src) {
-      const int count = static_cast<int>(rng() % 4);
-      for (int m = 0; m < count; ++m) {
-        net::Message msg;
-        msg.src = src;
-        msg.dst = static_cast<int>(rng() % static_cast<unsigned>(ranks));
-        msg.tag = m;
-        msg.segments = 1 + static_cast<int>(rng() % 3);
-        msg.payload.assign(rng() % 48, static_cast<double>(rng() % 100));
-        outboxes[static_cast<std::size_t>(src)].push_back(std::move(msg));
-      }
-    }
-    exec::ProcBackend piped(ranks, {}, exec::ProcConfig{});
-    exec::ProcBackend phased(ranks, {}, exec::ProcConfig{.phased = true});
-    const auto piped_in = piped.exchange(outboxes);
-    const auto phased_in = phased.exchange(outboxes);
-    ASSERT_EQ(piped_in.size(), phased_in.size());
-    for (std::size_t r = 0; r < piped_in.size(); ++r) {
-      ASSERT_EQ(piped_in[r].size(), phased_in[r].size()) << "rank " << r;
-      for (std::size_t i = 0; i < piped_in[r].size(); ++i) {
-        EXPECT_EQ(piped_in[r][i].src, phased_in[r][i].src);
-        EXPECT_EQ(piped_in[r][i].tag, phased_in[r][i].tag);
-        EXPECT_EQ(piped_in[r][i].payload, phased_in[r][i].payload);
-      }
-    }
-    EXPECT_EQ(piped.stats(), phased.stats());
-    // Same frames, byte-for-byte: the physical traffic matches too.
-    EXPECT_EQ(piped.wire(), phased.wire());
-  }
-}
-
 /// One full redistribution between testing::random_layout placements,
 /// executed as the runtime executes it (pack in rank context, exchange,
 /// unpack in rank context) on both backends: destination memories and
@@ -536,13 +529,14 @@ TEST(Backend, AccountLocalMatchesSelfMessageAccounting) {
   EXPECT_EQ(via_hook->stats(), via_message->stats());
 }
 
-/// The src == dst local-copy fast path must be observationally identical
-/// to the historical message path: same checksums, same NetStats byte for
-/// byte, same counters — on both backends, over randomized programs whose
-/// redistributions mix local and remote transfers.
+/// The src == dst local-copy fast path on every backend, over randomized
+/// programs whose redistributions mix local and remote transfers: results
+/// match the oracle, every local transfer is booked as a self-message
+/// would be (AccountLocalMatchesSelfMessageAccounting pins that unit),
+/// and only remote transfers are materialized into message buffers.
 class FastPathPrograms : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(FastPathPrograms, LocalFastPathMatchesMessagePath) {
+TEST_P(FastPathPrograms, LocalFastPathMatchesTheOracle) {
   testing::GenConfig config;
   config.seed = 100 + GetParam();
   auto accepted = testing::generate_compilable(config);
@@ -566,28 +560,14 @@ TEST_P(FastPathPrograms, LocalFastPathMatchesMessagePath) {
         exec::BackendKind::Proc}) {
     run_options.backend = backend;
     run_options.threads = 3;
-    run_options.force_message_path = false;
     const auto fast = driver::run(compiled, run_options);
-    run_options.force_message_path = true;
-    const auto slow = driver::run(compiled, run_options);
 
     EXPECT_EQ(fast.signature, oracle.signature);
-    EXPECT_EQ(slow.signature, oracle.signature);
     EXPECT_TRUE(fast.exported_values_ok);
-    EXPECT_TRUE(slow.exported_values_ok);
-    EXPECT_EQ(fast.net, slow.net) << "NetStats diverged between the local "
-                                     "fast path and the message path";
-    EXPECT_EQ(fast.copies_performed, slow.copies_performed);
-    EXPECT_EQ(fast.elements_copied, slow.elements_copied);
-    EXPECT_EQ(fast.skipped_already_mapped, slow.skipped_already_mapped);
-    EXPECT_EQ(fast.skipped_live_copy, slow.skipped_live_copy);
-    // The message path materializes every transfer; the fast path only
-    // the remote ones.
-    EXPECT_EQ(slow.local_fastpath_copies, 0u);
+    // Every rank-local delivery is a fast-path copy, and only the remote
+    // transfers are packed into message buffers.
     EXPECT_EQ(fast.local_fastpath_copies, fast.net.local_copies);
-    EXPECT_LE(fast.packed_bytes, slow.packed_bytes);
-    EXPECT_EQ(slow.packed_bytes - fast.packed_bytes,
-              fast.net.local_bytes);
+    EXPECT_EQ(fast.packed_bytes, fast.net.bytes);
   }
 }
 
@@ -674,13 +654,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BackendPrograms,
 
 class PipelinePrograms : public ::testing::TestWithParam<unsigned> {};
 
-/// The pipelined-vs-phased A/B on whole randomized programs: for every
-/// backend and worker count, --no-pipeline (serial controller phases +
-/// the historical encode-copy proc wire path) reproduces the pipelined
-/// run's checksums, inbox-order-dependent signatures, NetStats and wire
-/// traffic exactly. Runs at O2, so the fused copy-group exchange path is
-/// exercised wherever the generator produced a fusable remap vertex.
-TEST_P(PipelinePrograms, NoPipelineIsInvariantAcrossBackends) {
+/// The pipelined superstep on whole randomized programs: for every backend
+/// and worker count, rank-parallel pack/unpack (and, on proc, the
+/// scatter-gather wire path) reproduces the sequential run's checksums,
+/// inbox-order-dependent signatures and NetStats exactly, with phase
+/// timers inside the run's wall clock. Runs at O2, so the fused
+/// copy-group exchange path is exercised wherever the generator produced
+/// a fusable remap vertex.
+TEST_P(PipelinePrograms, CountersAndPhaseTimersMatchAcrossBackends) {
   testing::GenConfig config;
   config.seed = GetParam();
   auto accepted = testing::generate_compilable(config);
@@ -699,7 +680,7 @@ TEST_P(PipelinePrograms, NoPipelineIsInvariantAcrossBackends) {
   run_options.seed = 4000 + GetParam();
   const auto oracle = driver::run_oracle(compiled, run_options);
 
-  // The baseline everything must match: sequential, pipelined.
+  // The baseline everything must match: the sequential backend.
   run_options.backend = exec::BackendKind::Seq;
   const auto base = driver::run(compiled, run_options);
   ASSERT_EQ(base.signature, oracle.signature);
@@ -709,49 +690,31 @@ TEST_P(PipelinePrograms, NoPipelineIsInvariantAcrossBackends) {
         exec::BackendKind::Proc}) {
     for (const int threads : {1, 3}) {
       if (backend == exec::BackendKind::Seq && threads != 1) continue;
-      for (const bool no_pipeline : {false, true}) {
-        run_options.backend = backend;
-        run_options.threads = threads;
-        run_options.no_pipeline = no_pipeline;
-        const auto report = driver::run(compiled, run_options);
-        const std::string where =
-            std::string(exec::to_string(backend)) + " x" +
-            std::to_string(threads) +
-            (no_pipeline ? " --no-pipeline" : " pipelined");
-        EXPECT_EQ(report.signature, base.signature) << where;
-        EXPECT_TRUE(report.exported_values_ok) << where;
-        EXPECT_EQ(report.net, base.net)
-            << "NetStats diverged: " << where;
-        EXPECT_EQ(report.copies_performed, base.copies_performed) << where;
-        EXPECT_EQ(report.elements_copied, base.elements_copied) << where;
-        EXPECT_EQ(report.peak_bytes, base.peak_bytes) << where;
-        EXPECT_EQ(report.packed_bytes, base.packed_bytes) << where;
-        // Phase timers are filled on every leg and stay inside the
-        // run's wall-clock window.
-        EXPECT_GE(report.pack_ms, 0.0) << where;
-        EXPECT_GE(report.exchange_ms, 0.0) << where;
-        EXPECT_GE(report.unpack_ms, 0.0) << where;
-        EXPECT_LE(report.pack_ms + report.exchange_ms + report.unpack_ms,
-                  report.exec_ms * 1.01 + 0.5)
-            << where;
-        if (base.net.messages > 0 && backend == exec::BackendKind::Proc) {
-          EXPECT_GT(report.exchange_ms, 0.0) << where;
-        }
+      run_options.backend = backend;
+      run_options.threads = threads;
+      const auto report = driver::run(compiled, run_options);
+      const std::string where = std::string(exec::to_string(backend)) +
+                                " x" + std::to_string(threads);
+      EXPECT_EQ(report.signature, base.signature) << where;
+      EXPECT_TRUE(report.exported_values_ok) << where;
+      EXPECT_EQ(report.net, base.net) << "NetStats diverged: " << where;
+      EXPECT_EQ(report.copies_performed, base.copies_performed) << where;
+      EXPECT_EQ(report.elements_copied, base.elements_copied) << where;
+      EXPECT_EQ(report.peak_bytes, base.peak_bytes) << where;
+      EXPECT_EQ(report.packed_bytes, base.packed_bytes) << where;
+      // Phase timers are filled on every leg and stay inside the run's
+      // wall-clock window.
+      EXPECT_GE(report.pack_ms, 0.0) << where;
+      EXPECT_GE(report.exchange_ms, 0.0) << where;
+      EXPECT_GE(report.unpack_ms, 0.0) << where;
+      EXPECT_LE(report.pack_ms + report.exchange_ms + report.unpack_ms,
+                report.exec_ms * 1.01 + 0.5)
+          << where;
+      if (base.net.messages > 0 && backend == exec::BackendKind::Proc) {
+        EXPECT_GT(report.exchange_ms, 0.0) << where;
       }
     }
   }
-
-  // Same program, same ranks: the wire traffic of the pipelined and
-  // phased proc runs must match byte-for-byte (same frames either way).
-  run_options.backend = exec::BackendKind::Proc;
-  run_options.threads = 0;
-  run_options.no_pipeline = false;
-  const auto piped = driver::run(compiled, run_options);
-  run_options.no_pipeline = true;
-  const auto phased = driver::run(compiled, run_options);
-  EXPECT_EQ(piped.wire_bytes, phased.wire_bytes);
-  EXPECT_EQ(piped.wire_msgs, phased.wire_msgs);
-  EXPECT_EQ(piped.proc_spawns, phased.proc_spawns);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelinePrograms,

@@ -3,6 +3,8 @@
 // resolution) and front-end diagnostics.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "driver/compiler.hpp"
 #include "hpf/builder.hpp"
 #include "hpf/lexer.hpp"
@@ -181,6 +183,32 @@ TEST(Parser, ReportsMalformedDirectives) {
   DiagnosticEngine diags;
   hpf::parse("routine r\nprocessors P(0,\nbegin\nend\n", diags);
   EXPECT_TRUE(diags.has_errors());
+}
+
+// Zero extents are rejected with a diagnostic at the extent, never by the
+// Shape invariant aborting the compiler.
+TEST(Parser, ReportsZeroExtents) {
+  const char* sources[] = {
+      "routine r\nprocessors P(4)\nreal A(0)\n"
+      "distribute A(block) onto P\nbegin\n use(A)\nend\n",
+      "routine r\nprocessors P(0)\nreal A(16)\n"
+      "distribute A(block) onto P\nbegin\n use(A)\nend\n",
+      "routine r\nprocessors P(4)\ntemplate T(0)\n"
+      "distribute T(block) onto P\nbegin\nend\n",
+      "routine r\nprocessors P(2,0)\nbegin\nend\n",
+      "routine r\nprocessors P(4)\nreal A(8,0)\nbegin\nend\n",
+      "routine r\nprocessors P(4)\ndummy X(0) intent(in)\nbegin\nend\n",
+  };
+  for (const char* source : sources) {
+    DiagnosticEngine diags;
+    driver::CompileOptions options;
+    const auto compiled = driver::compile_source(source, options, diags);
+    EXPECT_FALSE(compiled.ok) << source;
+    EXPECT_TRUE(diags.has(DiagId::ParseError)) << source;
+    EXPECT_NE(diags.to_string().find("extent must be positive"),
+              std::string::npos)
+        << diags.to_string();
+  }
 }
 
 TEST(Parser, ReportsBadFormat) {

@@ -2,8 +2,8 @@
 // codegen emits for one remapping vertex share a codegen copy group, and
 // the runtime flushes each group as ONE exchange superstep with combined
 // per-(src, dst) messages. These tests pin the equivalence contract:
-// across {fused, unfused} x {seq, thread} x {fast path, forced messages}
-// the results and every data-volume counter (elements, bytes, segments,
+// across {fused, unfused} x {seq, thread} the results and every
+// data-volume counter (elements, bytes, segments,
 // local copies, checksums) are byte-identical; only messages, supersteps,
 // fused_copies and sim_time may move — and supersteps must drop by the
 // vertex fan-out.
@@ -99,14 +99,12 @@ InvariantCounters invariants(const runtime::RunReport& r) {
 }
 
 runtime::RunReport run_with(const Compiled& compiled, bool unfuse,
-                            exec::BackendKind backend, bool force_messages,
-                            unsigned seed = 11) {
+                            exec::BackendKind backend, unsigned seed = 11) {
   runtime::RunOptions options;
   options.seed = seed;
   options.backend = backend;
   options.threads = 3;
   options.unfuse_copy_groups = unfuse;
-  options.force_message_path = force_messages;
   return driver::run(compiled, options);
 }
 
@@ -144,7 +142,7 @@ TEST(CopyGroups, CodegenAssignsOneGroupPerVertex) {
 }
 
 // A vertex moving k arrays costs one superstep fused, k unfused, with all
-// data-volume counters byte-identical across the 2x2x2 toggle matrix.
+// data-volume counters byte-identical across the 2x2 matrix.
 TEST(CopyGroups, MultiArrayVertexFusesKIntoOneSuperstep) {
   const int arrays = 4;
   const mapping::Extent trips = 3;
@@ -154,10 +152,8 @@ TEST(CopyGroups, MultiArrayVertexFusesKIntoOneSuperstep) {
   oracle_options.seed = 11;
   const auto oracle = driver::run_oracle(c, oracle_options);
 
-  const auto fused = run_with(c, /*unfuse=*/false, exec::BackendKind::Seq,
-                              /*force_messages=*/false);
-  const auto unfused = run_with(c, /*unfuse=*/true, exec::BackendKind::Seq,
-                                /*force_messages=*/false);
+  const auto fused = run_with(c, /*unfuse=*/false, exec::BackendKind::Seq);
+  const auto unfused = run_with(c, /*unfuse=*/true, exec::BackendKind::Seq);
   EXPECT_EQ(fused.signature, oracle.signature);
   EXPECT_EQ(invariants(fused), invariants(unfused));
 
@@ -180,37 +176,18 @@ TEST(CopyGroups, MultiArrayVertexFusesKIntoOneSuperstep) {
   for (const bool unfuse : {false, true}) {
     for (const auto backend :
          {exec::BackendKind::Seq, exec::BackendKind::Thread}) {
-      for (const bool force : {false, true}) {
-        const auto report = run_with(c, unfuse, backend, force);
-        EXPECT_EQ(invariants(report), invariants(fused))
-            << (unfuse ? "unfused" : "fused") << " "
-            << exec::to_string(backend) << (force ? " forced" : " fastpath");
-        EXPECT_TRUE(report.exported_values_ok);
-        EXPECT_EQ(report.net.supersteps,
-                  unfuse ? unfused.net.supersteps : fused.net.supersteps);
-      }
+      const auto report = run_with(c, unfuse, backend);
+      EXPECT_EQ(invariants(report), invariants(fused))
+          << (unfuse ? "unfused " : "fused ") << exec::to_string(backend);
+      EXPECT_TRUE(report.exported_values_ok);
+      EXPECT_EQ(report.net.supersteps,
+                unfuse ? unfused.net.supersteps : fused.net.supersteps);
     }
   }
 }
 
-// The local fast path and the forced message path stay NetStats-identical
-// under fusion (self-messages are framed per member program, the exact
-// unit account_local books).
-TEST(CopyGroups, FusedFastPathMatchesForcedMessages) {
-  const Compiled c = compile_multi(96, 4, 3, 2, OptLevel::O2);
-  const auto fast = run_with(c, /*unfuse=*/false, exec::BackendKind::Seq,
-                             /*force_messages=*/false);
-  const auto forced = run_with(c, /*unfuse=*/false, exec::BackendKind::Seq,
-                               /*force_messages=*/true);
-  EXPECT_EQ(fast.net, forced.net);
-  EXPECT_EQ(fast.signature, forced.signature);
-  EXPECT_GT(fast.local_fastpath_copies, 0u);
-  EXPECT_EQ(forced.local_fastpath_copies, 0u);
-  EXPECT_LT(fast.packed_bytes, forced.packed_bytes);
-}
-
 // Randomized programs: fusion must preserve results and data volumes at
-// every level, backend, and fast-path setting, and never add supersteps.
+// every level and backend, and never add supersteps.
 TEST(CopyGroups, RandomProgramsFuseWithoutChangingResults) {
   for (unsigned seed = 1; seed <= 12; ++seed) {
     testing::GenConfig config;
@@ -227,24 +204,18 @@ TEST(CopyGroups, RandomProgramsFuseWithoutChangingResults) {
                                           options, diags);
       ASSERT_TRUE(compiled.ok) << diags.to_string();
 
-      const auto fused = run_with(compiled, false, exec::BackendKind::Seq,
-                                  false, 100 + seed);
-      const auto unfused = run_with(compiled, true, exec::BackendKind::Seq,
-                                    false, 100 + seed);
+      const auto fused =
+          run_with(compiled, false, exec::BackendKind::Seq, 100 + seed);
+      const auto unfused =
+          run_with(compiled, true, exec::BackendKind::Seq, 100 + seed);
       EXPECT_EQ(invariants(fused), invariants(unfused)) << "seed " << seed;
       EXPECT_LE(fused.net.supersteps, unfused.net.supersteps);
       EXPECT_EQ(unfused.net.fused_copies, 0u);
 
-      const auto threaded = run_with(compiled, false,
-                                     exec::BackendKind::Thread, false,
-                                     100 + seed);
+      const auto threaded =
+          run_with(compiled, false, exec::BackendKind::Thread, 100 + seed);
       EXPECT_EQ(threaded.net, fused.net) << "seed " << seed;
       EXPECT_EQ(threaded.signature, fused.signature);
-
-      const auto forced = run_with(compiled, false, exec::BackendKind::Seq,
-                                   true, 100 + seed);
-      EXPECT_EQ(forced.net, fused.net) << "seed " << seed;
-      EXPECT_EQ(forced.signature, fused.signature);
     }
   }
 }

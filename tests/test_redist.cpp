@@ -9,6 +9,7 @@
 
 #include "redist/commsets.hpp"
 #include "redist/segments.hpp"
+#include "testing/plan_oracle.hpp"
 #include "testing/program_gen.hpp"
 
 namespace hpfc::redist {
@@ -112,8 +113,8 @@ TEST_P(RedistSweep, OracleAndPeriodicAgree) {
   const auto& p = GetParam();
   const auto from = one_dim(p.n, p.p_from, p.from);
   const auto to = one_dim(p.n, p.p_to, p.to);
-  const RedistPlan oracle = build(from, to);
-  const RedistPlan fast = build_periodic(from, to);
+  const RedistPlan oracle = testing::oracle_plan(from, to);
+  const RedistPlan fast = build_runs(from, to).materialize();
   ASSERT_EQ(oracle.transfers.size(), fast.transfers.size());
   for (std::size_t i = 0; i < oracle.transfers.size(); ++i) {
     EXPECT_EQ(oracle.transfers[i].src, fast.transfers[i].src);
@@ -126,8 +127,8 @@ TEST_P(RedistSweep, TransfersPartitionTheArray) {
   const auto& p = GetParam();
   const auto from = one_dim(p.n, p.p_from, p.from);
   const auto to = one_dim(p.n, p.p_to, p.to);
-  expect_partition(build(from, to), to);
-  expect_partition(build_periodic(from, to), to);
+  expect_partition(testing::oracle_plan(from, to), to);
+  expect_partition(build_runs(from, to).materialize(), to);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -144,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Redist, IdentityPlanIsAllLocal) {
   const auto lay = one_dim(16, 4, DistFormat::block());
-  const RedistPlan plan = build(lay, lay);
+  const RedistPlan plan = testing::oracle_plan(lay, lay);
   EXPECT_EQ(plan.remote_transfers(), 0);
   EXPECT_EQ(plan.total_elements(), 16);
 }
@@ -152,7 +153,7 @@ TEST(Redist, IdentityPlanIsAllLocal) {
 TEST(Redist, BlockToCyclicMovesMostElements) {
   const auto from = one_dim(64, 4, DistFormat::block());
   const auto to = one_dim(64, 4, DistFormat::cyclic());
-  const RedistPlan plan = build(from, to);
+  const RedistPlan plan = testing::oracle_plan(from, to);
   // Each source rank keeps exactly a quarter of its block.
   Extent local = 0;
   for (const auto& t : plan.transfers)
@@ -174,8 +175,8 @@ TEST(Redist2D, TransposeRedistribution) {
   cols.format = DistFormat::block(2);
   const auto to = ConcreteLayout::make(Shape{8, 8}, Shape{4}, {cols});
 
-  const RedistPlan oracle = build(from, to);
-  const RedistPlan fast = build_periodic(from, to);
+  const RedistPlan oracle = testing::oracle_plan(from, to);
+  const RedistPlan fast = build_runs(from, to).materialize();
   expect_partition(oracle, to);
   ASSERT_EQ(oracle.transfers.size(), fast.transfers.size());
   // All-to-all: 4x4 = 16 transfers of a 2x2 tile each.
@@ -316,7 +317,7 @@ TEST(Redist, ReplicatedDestinationReceivesEverywhere) {
   owner.template_extent = 4;
   owner.format = DistFormat::block(1);
   const auto to = ConcreteLayout::make(Shape{8}, Shape{4}, {owner});
-  const RedistPlan plan = build(from, to);
+  const RedistPlan plan = testing::oracle_plan(from, to);
   // Each of 4 destinations receives all 8 elements.
   EXPECT_EQ(plan.total_elements(), 32);
   expect_partition(plan, to);

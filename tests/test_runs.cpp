@@ -1,9 +1,9 @@
 // Interval runs: the closed-form ownership/communication representation
 // must agree exactly — same element sets, same pack order — with the
 // materialized oracles at every layer: IndexRuns vs brute-force sets,
-// owned_index_runs vs owned_index_lists, build_runs vs build() vs
-// build_periodic(), and the compiled segment programs vs a per-element
-// position walk.
+// owned_index_runs vs owned_index_lists, build_runs vs the sorted-list
+// testing::oracle_plan, and the compiled segment programs vs a
+// per-element position walk.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -13,6 +13,7 @@
 #include "mapping/runs.hpp"
 #include "redist/commsets.hpp"
 #include "redist/segments.hpp"
+#include "testing/plan_oracle.hpp"
 #include "testing/program_gen.hpp"
 
 namespace hpfc {
@@ -243,11 +244,9 @@ TEST(PlanRuns, RandomLayoutPairsAgreeWithOracleIncludingSegments) {
     const ConcreteLayout to = random_layout(rng, shape);
     const std::string what = from.to_string() + " -> " + to.to_string();
 
-    const redist::RedistPlan oracle = redist::build(from, to);
+    const redist::RedistPlan oracle = testing::oracle_plan(from, to);
     const redist::RedistPlanV2 v2 = redist::build_runs(from, to);
     expect_plans_identical(oracle, v2.materialize(), what + " [runs]");
-    expect_plans_identical(oracle, redist::build_periodic(from, to),
-                           what + " [periodic]");
 
     // Segment programs replay the oracle's exact (src, dst) local pairs in
     // the exact payload order.
@@ -280,7 +279,7 @@ TEST(PlanRuns, RegionRestrictionMatchesFilteredOracle) {
 
     // Filter the oracle the way the runtime used to: erase out-of-region
     // indices, drop empty transfers.
-    redist::RedistPlan oracle = redist::build(from, to);
+    redist::RedistPlan oracle = testing::oracle_plan(from, to);
     std::vector<redist::Transfer> expected;
     for (auto& t : oracle.transfers) {
       std::erase_if(t.dim_indices[0],

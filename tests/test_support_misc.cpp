@@ -157,31 +157,17 @@ TEST(Toggles, RegistryResolvesBothSpellingsAndCoversAllFlags) {
     EXPECT_FALSE(options.*(toggle.flag)) << toggle.name
                                          << " should default to off";
   }
-  EXPECT_EQ(count, 7u);
+  EXPECT_EQ(count, 3u);
+  EXPECT_NE(runtime::find_toggle("unfuse-copy-groups"), nullptr);
+  EXPECT_NE(runtime::find_toggle("paranoid"), nullptr);
+  EXPECT_NE(runtime::find_toggle("proc-tcp"), nullptr);
   EXPECT_EQ(runtime::find_toggle("no-such-toggle"), nullptr);
-}
-
-TEST(Toggles, NoPipelineRoundTripsThroughTheRegistry) {
-  // The pipeline toggle resolves under both spellings and drives the
-  // RunOptions flag the registry row points at.
-  const runtime::Toggle* kebab = runtime::find_toggle("no-pipeline");
-  const runtime::Toggle* snake = runtime::find_toggle("no_pipeline");
-  ASSERT_NE(kebab, nullptr);
-  EXPECT_EQ(kebab, snake);
-  EXPECT_EQ(kebab->flag, &runtime::RunOptions::no_pipeline);
-
-  runtime::RunOptions options;
-  EXPECT_FALSE(options.no_pipeline) << "pipelining must be the default";
-  EXPECT_TRUE(options.set("no-pipeline"));
-  EXPECT_TRUE(options.no_pipeline);
-  EXPECT_TRUE(options.set("no_pipeline", false));
-  EXPECT_FALSE(options.no_pipeline);
 }
 
 TEST(Toggles, RunOptionsSetAndForEach) {
   runtime::RunOptions options;
-  EXPECT_TRUE(options.set("force-message-path"));
-  EXPECT_TRUE(options.force_message_path);
+  EXPECT_TRUE(options.set("unfuse-copy-groups"));
+  EXPECT_TRUE(options.unfuse_copy_groups);
   EXPECT_TRUE(options.set("proc_tcp"));  // snake_case spelling works too
   EXPECT_TRUE(options.proc_tcp);
   EXPECT_TRUE(options.set("proc-tcp", false));
@@ -196,7 +182,7 @@ TEST(Toggles, RunOptionsSetAndForEach) {
                              if (value) ++on;
                            });
   EXPECT_EQ(seen, runtime::toggles().size());
-  EXPECT_EQ(on, 1u);  // only force-message-path is still set
+  EXPECT_EQ(on, 1u);  // only unfuse-copy-groups is still set
 }
 
 TEST(Cli, RunFlagsConsumesMachineFlagsAndToggles) {
@@ -214,9 +200,9 @@ TEST(Cli, RunFlagsConsumesMachineFlagsAndToggles) {
   EXPECT_EQ(flags.options.proc_timeout_ms, 250);
   EXPECT_EQ(flags.consume("--paranoid"), support::cli::Parsed::Consumed);
   EXPECT_TRUE(flags.options.paranoid);
-  EXPECT_EQ(flags.consume("--interpret-kernels"),
+  EXPECT_EQ(flags.consume("--unfuse-copy-groups"),
             support::cli::Parsed::Consumed);
-  EXPECT_TRUE(flags.options.interpret_kernels);
+  EXPECT_TRUE(flags.options.unfuse_copy_groups);
   // Flags the shared surface does not own pass through untouched.
   EXPECT_EQ(flags.consume("--json=x.json"),
             support::cli::Parsed::Unrecognized);
@@ -254,7 +240,7 @@ TEST(Cli, ToggleTableIsMachineParsable) {
   EXPECT_NE(table.find("--proc-timeout-ms=\t"), std::string::npos);
   EXPECT_NE(table.find("--snapshot-dir=\t"), std::string::npos);
   EXPECT_NE(table.find("--snapshot-every=\t"), std::string::npos);
-  EXPECT_NE(table.find("--force-message-path\tforce_message_path\t"),
+  EXPECT_NE(table.find("--unfuse-copy-groups\tunfuse_copy_groups\t"),
             std::string::npos);
 }
 

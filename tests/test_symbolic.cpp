@@ -4,13 +4,12 @@
 // the abstraction roundtrip over random layouts, (2) the symbolic
 // ownership run sets against ConcreteLayout::owned_index_runs, (3)
 // SymbolicPlan::instantiate against both concrete builders — build_runs
-// (byte-identical plans) and the sorted-list build() oracle (element sets
-// in pack order) — at the abstraction shapes and across an (N, P) rebind
-// grid, (4) the end-to-end concrete_plans A/B contract across the
-// {interpret_kernels} x {unfuse_copy_groups} toggle matrix, and (5) the
-// plan-slot eviction accounting fix: shared (N, P) instances are charged
-// once, survive other slots' evictions, and re-instantiate deterministically
-// after the last referencing slot is dropped.
+// (byte-identical plans) and the sorted-list testing::oracle_plan (element
+// sets in pack order) — at the abstraction shapes and across an (N, P)
+// rebind grid, and (4) the plan-slot eviction accounting fix: shared
+// (N, P) instances are charged once, survive other slots' evictions, and
+// re-instantiate deterministically after the last referencing slot is
+// dropped.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +22,7 @@
 #include "mapping/symbolic.hpp"
 #include "redist/commsets.hpp"
 #include "redist/symbolic_plan.hpp"
+#include "testing/plan_oracle.hpp"
 #include "testing/program_gen.hpp"
 
 namespace hpfc {
@@ -144,8 +144,8 @@ void expect_plans_equal(const redist::RedistPlanV2& got,
 }
 
 // Property: at the abstraction shapes, a SymbolicPlan instance is
-// byte-identical to build_runs and enumerates the sorted-list build()
-// oracle's element sets in the same pack order.
+// byte-identical to build_runs and enumerates the sorted-list oracle's
+// element sets in the same pack order.
 TEST(SymbolicPlanTest, MatchesBothConcreteBuildersOnRandomLayouts) {
   std::mt19937 rng(31337);
   const Shape shapes[] = {Shape{32}, Shape{21}, Shape{10, 12}, Shape{8, 8}};
@@ -165,7 +165,7 @@ TEST(SymbolicPlanTest, MatchesBothConcreteBuildersOnRandomLayouts) {
     expect_plans_equal(instance->plan, redist::build_runs(from, to), label);
 
     // Pack order against the oracle: materialized per-dimension lists.
-    const redist::RedistPlan oracle = redist::build(from, to);
+    const redist::RedistPlan oracle = testing::oracle_plan(from, to);
     const redist::RedistPlan materialized = instance->plan.materialize();
     ASSERT_EQ(materialized.transfers.size(), oracle.transfers.size()) << label;
     for (std::size_t i = 0; i < oracle.transfers.size(); ++i) {
@@ -239,100 +239,6 @@ TEST(SymbolicPlanTest, RebindsAcrossTheShapeGrid) {
         redist::build_runs(layout_1d(96, 4, from_format),
                            layout_1d(96, 4, to_format)),
         plan.signature() + " rebuilt");
-  }
-}
-
-/// `arrays` aligned arrays remapped together per loop trip (the fusion /
-/// kernel test workload): exercises plan slots, copy groups and the
-/// steady-state cache.
-ir::Program multi_array_loop(Extent n, int procs, int arrays, Extent trips) {
-  hpf::ProgramBuilder b("multi");
-  b.procs("P", Shape{procs});
-  b.tmpl("T", Shape{n});
-  b.distribute_template("T", {DistFormat::block()}, "P");
-  std::vector<std::string> names;
-  for (int i = 0; i < arrays; ++i) {
-    names.push_back("A" + std::to_string(i));
-    b.array(names.back(), Shape{n});
-    b.align(names.back(), "T", Alignment::identity(1));
-  }
-  b.use(names);
-  b.begin_loop(trips);
-  b.redistribute("T", {DistFormat::cyclic()}, "", "1");
-  b.use(names);
-  b.redistribute("T", {DistFormat::block()}, "", "2");
-  b.end_loop();
-  b.use(names);
-  DiagnosticEngine diags;
-  return b.finish(diags);
-}
-
-Compiled compile_multi(Extent n, int procs, int arrays, Extent trips) {
-  DiagnosticEngine diags;
-  CompileOptions options;
-  options.level = OptLevel::O0;
-  Compiled compiled = driver::compile(multi_array_loop(n, procs, arrays, trips),
-                                      options, diags);
-  EXPECT_TRUE(compiled.ok) << diags.to_string();
-  return compiled;
-}
-
-/// NetStats with the plan-cache triple zeroed: everything that must be
-/// byte-identical across the concrete_plans toggle.
-net::NetStats strip_plan_cache(net::NetStats stats) {
-  stats.plan_cache_hits = 0;
-  stats.plan_cache_misses = 0;
-  stats.symbolic_instantiations = 0;
-  return stats;
-}
-
-// The A/B contract: across {interpret_kernels} x {unfuse_copy_groups}, a
-// symbolic-plan run and a concrete-plan run differ in NOTHING but the
-// plan-cache counters — and those are themselves invariant across the
-// toggle matrix (one lookup per plan-slot compile, at the producing site).
-TEST(ConcretePlansToggle, OnlyPlanCacheCountersMove) {
-  const Compiled compiled = compile_multi(96, 4, 3, 2);
-  const runtime::RunReport oracle = driver::run_oracle(compiled, {});
-
-  std::uint64_t expected_hits = 0;
-  std::uint64_t expected_misses = 0;
-  bool first = true;
-  for (const bool interpret : {false, true}) {
-    for (const bool unfuse : {false, true}) {
-      runtime::RunOptions options;
-      options.seed = 11;
-      options.interpret_kernels = interpret;
-      options.unfuse_copy_groups = unfuse;
-      const runtime::RunReport symbolic = driver::run(compiled, options);
-      options.concrete_plans = true;
-      const runtime::RunReport concrete = driver::run(compiled, options);
-
-      EXPECT_EQ(symbolic.signature, oracle.signature);
-      EXPECT_EQ(concrete.signature, oracle.signature);
-      EXPECT_EQ(strip_plan_cache(symbolic.net), strip_plan_cache(concrete.net));
-      EXPECT_EQ(symbolic.elements_copied, concrete.elements_copied);
-      EXPECT_EQ(symbolic.packed_bytes, concrete.packed_bytes);
-      EXPECT_EQ(symbolic.peak_bytes > 0, concrete.peak_bytes > 0);
-
-      // Concrete runs never touch the symbolic cache.
-      EXPECT_EQ(concrete.net.plan_cache_hits, 0u);
-      EXPECT_EQ(concrete.net.plan_cache_misses, 0u);
-      EXPECT_EQ(concrete.net.symbolic_instantiations, 0u);
-      // Symbolic runs: one lookup per plan-slot compile, every miss is an
-      // instantiation, and three same-extent arrays sharing one template
-      // guarantee warm hits.
-      EXPECT_GT(symbolic.net.plan_cache_hits, 0u);
-      EXPECT_GT(symbolic.net.plan_cache_misses, 0u);
-      EXPECT_EQ(symbolic.net.symbolic_instantiations,
-                symbolic.net.plan_cache_misses);
-      if (first) {
-        expected_hits = symbolic.net.plan_cache_hits;
-        expected_misses = symbolic.net.plan_cache_misses;
-        first = false;
-      }
-      EXPECT_EQ(symbolic.net.plan_cache_hits, expected_hits);
-      EXPECT_EQ(symbolic.net.plan_cache_misses, expected_misses);
-    }
   }
 }
 
@@ -419,15 +325,6 @@ TEST(PlanEviction, SharedInstancesSurviveUntilTheLastSlotDrops) {
   EXPECT_EQ(again.signature, oracle.signature);
   EXPECT_EQ(again.plan_evictions, squeezed.plan_evictions);
   EXPECT_EQ(again.net, squeezed.net);
-
-  // The concrete oracle under the same squeeze still gets exact results
-  // (its eviction schedule may differ — symbolic runs charge the cached
-  // instances against the limit, concrete runs rebuild per slot — so only
-  // correctness is compared, not counters).
-  options.concrete_plans = true;
-  const runtime::RunReport concrete = driver::run(compiled, options);
-  EXPECT_EQ(concrete.signature, oracle.signature);
-  EXPECT_TRUE(concrete.exported_values_ok);
 }
 
 }  // namespace

@@ -18,9 +18,8 @@
 //
 // The machine flags (--backend/--threads/--ranks/--seed/
 // --proc-timeout-ms/--snapshot-dir/--snapshot-every) and every A/B
-// toggle (--force-message-path, --unfuse-copy-groups,
-// --interpret-kernels, --concrete-plans, --no-pipeline, --paranoid,
-// --proc-tcp) come from the shared support::cli surface —
+// toggle (--unfuse-copy-groups, --paranoid, --proc-tcp) come from the
+// shared support::cli surface —
 // see `hpfc --list-toggles` and src/runtime/toggles.hpp. With
 // --snapshot-dir the run seals crash-consistent snapshots and the
 // report's restore_ms times persist::restore() of the final store.
@@ -168,9 +167,6 @@ bool write_report_json(const Options& options,
         << ", \"segments\": " << l.report.net.segments
         << ", \"supersteps\": " << l.report.net.supersteps
         << ", \"fused_copies\": " << l.report.net.fused_copies
-        << ", \"specialized_kernels\": " << l.report.net.specialized_kernels
-        << ", \"specialized_dispatches\": "
-        << l.report.net.specialized_dispatches
         << ", \"plan_cache_hits\": " << l.report.net.plan_cache_hits
         << ", \"plan_cache_misses\": " << l.report.net.plan_cache_misses
         << ", \"symbolic_instantiations\": "
