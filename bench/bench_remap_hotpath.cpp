@@ -10,9 +10,9 @@
 //
 // A second, multi-array configuration (fig16_multi: k arrays aligned to
 // one template, remapped together per loop trip) measures the fused remap
-// supersteps: with cross-array aggregation on (the default) each remap
-// vertex costs ONE exchange superstep; the `unfused` rows re-run with
-// RunOptions::unfuse_copy_groups to show `supersteps` k-fold higher at
+// supersteps: each remap vertex costs ONE exchange superstep; the
+// `unfused` rows re-run the program through testing::split_copy_groups
+// (one copy group per Copy op) to show `supersteps` k-fold higher at
 // byte-identical elements/segments/bytes.
 #include <atomic>
 #include <cstdlib>
@@ -22,6 +22,7 @@
 
 #include "common.hpp"
 #include "driver/compiler.hpp"
+#include "testing/split_groups.hpp"
 
 namespace {
 
@@ -119,25 +120,31 @@ int main(int argc, char** argv) {
     const hpfc::mapping::Extent multi_n = 1 << 18;
     const Compiled multi =
         compile(fig16_multi(multi_n, procs, arrays, trips), OptLevel::O0);
+    hpfc::codegen::RuntimeProgram split_code = multi.code;
+    hpfc::testing::split_copy_groups(split_code);
     // One oracle run covers every leg: the oracle always executes
-    // sequentially, independent of backend and fusion toggles.
+    // sequentially, independent of backend and copy grouping.
     hpfc::runtime::RunOptions multi_options;
     multi_options.seed = harness.options().run.seed;
     const auto oracle = hpfc::driver::run_oracle(multi, multi_options);
     for (const auto backend :
          {hpfc::exec::BackendKind::Seq, hpfc::exec::BackendKind::Thread}) {
-      for (const bool unfuse : {false, true}) {
+      for (const bool split : {false, true}) {
         hpfc::runtime::RunOptions options = multi_options;
         options.backend = backend;
         options.threads = 8;
-        options.unfuse_copy_groups = unfuse;
+        const auto run = [&] {
+          return hpfc::runtime::run_parallel(multi.program, multi.analysis,
+                                             split ? split_code : multi.code,
+                                             options);
+        };
         // Warm-up outside the timed window, like the fig16 configs: the
         // first run pays plan/fused-slot compilation.
-        (void)hpfc::driver::run(multi, options);
-        RunReport report = hpfc::driver::run(multi, options);
+        (void)run();
+        RunReport report = run();
         double best_exec_ms = report.exec_ms;
         for (int rep = 1; rep < harness.options().reps; ++rep) {
-          report = hpfc::driver::run(multi, options);
+          report = run();
           if (report.exec_ms < best_exec_ms) best_exec_ms = report.exec_ms;
         }
         if (report.signature != oracle.signature ||
@@ -149,7 +156,7 @@ int main(int argc, char** argv) {
         metrics.exec_ms = best_exec_ms;
         const std::string config =
             std::string("P=8 n=262144 arrays=4 trips=6 ") +
-            (unfuse ? "unfused " : "fused ") + hpfc::exec::to_string(backend);
+            (split ? "unfused " : "fused ") + hpfc::exec::to_string(backend);
         row(config, metrics);
         note(config + ": supersteps=" + std::to_string(metrics.supersteps) +
              " fused_copies=" + std::to_string(metrics.fused_copies) +

@@ -58,12 +58,13 @@ struct LevelMetrics {
   /// src == dst transfers executed as direct local copies, bypassing
   /// message materialization.
   std::uint64_t local_fastpath_copies = 0;
-  /// Exchange supersteps the run performed (one per fused copy group
-  /// flush, one per unfused copy) — the alpha-term unit of the cost model.
+  /// Exchange supersteps the run performed (one per copy group flush;
+  /// one per copy under testing::split_copy_groups) — the alpha-term
+  /// unit of the cost model.
   std::uint64_t supersteps = 0;
   /// Copies whose communication shared a superstep with at least one
   /// other copy (cross-array message aggregation); 0 when every remap
-  /// vertex moves a single array or fusion is disabled.
+  /// vertex moves a single array or the copy groups are split.
   std::uint64_t fused_copies = 0;
   /// Warm lookups the symbolic plan cache served without instantiating
   /// (the (N, P) instance already existed).
@@ -138,7 +139,7 @@ hpfc::runtime::RunOptions default_run_options();
 ///
 /// The machine flags (--backend=seq|thread|proc, --threads, --ranks,
 /// --seed, --proc-timeout-ms) and every registered A/B toggle
-/// (--unfuse-copy-groups, --paranoid, --proc-tcp) come from the shared
+/// (--paranoid, --proc-tcp) come from the shared
 /// support::cli surface and land in `run`; `--list-toggles` prints the
 /// registry table and exits.  Harness-specific flags:
 ///

@@ -213,7 +213,7 @@ class Backend {
   /// one two-level lookup per plan-slot compile (symbolic family id →
   /// bound (N, P) instance), counted at the producing site on the
   /// controlling thread between steps, so the counters are invariant
-  /// across unfuse_copy_groups and the execution backends.
+  /// across copy-group splitting and the execution backends.
   /// `instantiations` counts the concrete plans built on misses (rising
   /// again when an evicted instance is re-bound).
   void account_plan_cache(std::uint64_t hits, std::uint64_t misses,

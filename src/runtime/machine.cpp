@@ -69,18 +69,12 @@ struct OwnershipProgram {
   std::vector<RankOwnership> per_rank;  ///< indexed by layout rank
 };
 
-/// Per copy-site compiled transfer programs plus pooled buffers: the
-/// segment programs are compiled once per codegen plan slot; payload and
-/// mailbox buffers are recycled across executions so steady-state
-/// remapping loops re-run with no per-copy payload allocation.
+/// Per copy-site compiled transfer programs: the segment programs are
+/// compiled once per codegen plan slot and borrowed by every fused round
+/// that the site's Copy joins (FusedSlot owns the pooled buffers).
 struct PlanSlot {
   bool compiled = false;
   std::vector<redist::SegmentProgram> programs;
-  /// Payload buffer per program (tag); moved into the message on pack and
-  /// reclaimed from the inbox after unpack.
-  std::vector<std::vector<double>> payload_pool;
-  /// Recycled outbox/inbox skeleton (outer and inner vector capacities).
-  std::vector<std::vector<net::Message>> mailbox_pool;
   /// The symbolic plan instance this slot compiled from (nullptr for
   /// unabstractable pairs). Instances
   /// are shared across slots; the machine refcounts their footprint so a
@@ -106,8 +100,9 @@ struct PendingCopy {
 
 /// One cached fused communication round (per distinct fired-member set):
 /// combined-message framing over the member plan slots' SegmentPrograms,
-/// plus pooled per-message payloads and a recycled mailbox skeleton —
-/// the group-level analogue of PlanSlot.
+/// plus pooled per-message payloads and a recycled mailbox skeleton, so
+/// steady-state remapping loops re-run with no per-copy payload
+/// allocation.
 struct FusedSlot {
   std::vector<PendingCopy> members;
   /// members[m]'s compiled programs (borrowed from its PlanSlot). Cached
@@ -123,7 +118,7 @@ struct FusedSlot {
   std::vector<std::vector<net::Message>> mailbox_pool;
 };
 
-/// Per-rank counters written inside a copy superstep (each rank owns its
+/// Per-rank counters written inside a fused round (each rank owns its
 /// slot) and reduced on the controlling thread after the barrier.
 struct CopyTally {
   std::uint64_t local_copies = 0;
@@ -235,7 +230,7 @@ class Machine {
       switch (n.kind) {
         case CfgKind::Exit: {
           if (parallel()) {
-            check_exported(n);
+            check_exported();
             // Seal the final store before the exit cleanup frees it, so
             // the last sealed epoch always captures the program's result.
             take_snapshot();
@@ -433,8 +428,7 @@ class Machine {
   }
 
   /// Second-phase eviction (the plan-cache analogue of §5.2): drops
-  /// compiled plan slots — segment programs and pooled buffers — largest
-  /// first until the budget fits. An evicted slot is recompiled on its
+  /// compiled plan slots (segment programs) largest first until the budget fits. An evicted slot is recompiled on its
   /// next use, so the plan-cache lookups rise while every data-volume
   /// counter stays put.
   void evict_plan_slots(int keep_slot) {
@@ -523,10 +517,7 @@ class Machine {
         allocate(op.array, op.version);
         break;
       case OpKind::Copy:
-        if (op.copy_group >= 0 && !options_.unfuse_copy_groups)
-          defer_copy(op);
-        else
-          copy(op.array, op.src_version, op.version, op.region, op.plan_slot);
+        defer_copy(op);
         break;
       case OpKind::SetLive:
         versions[static_cast<std::size_t>(op.version)].live = op.flag;
@@ -651,15 +642,6 @@ class Machine {
     }
   }
 
-  /// The shared superstep skeleton of all remap communication (per-copy
-  /// and fused): recycled mailboxes and per-rank tallies around ONE
-  /// exchange. `pack_rank(r, outbox, tally)` emits rank r's messages
-  /// (payloads drawn from `payload_pool` by tag) and runs its local
-  /// fast-path copies; `unpack_msg(r, msg)` scatters one routed message.
-  /// Everything else — tally reduction, account_local, unpacked-element
-  /// accounting, payload reclamation by tag, mailbox-skeleton recycling —
-  /// lives here exactly once so the fused and unfused paths cannot drift
-  /// apart in their NetStats arithmetic.
   /// Runs one phase's rank loop through the backend (per-rank concurrency
   /// on thread/proc) and returns the phase's wall-clock in milliseconds.
   template <typename Fn>
@@ -671,58 +653,6 @@ class Machine {
         .count();
   }
 
-  template <typename PackRank, typename UnpackMsg>
-  void copy_superstep(std::vector<std::vector<double>>& payload_pool,
-                      std::vector<std::vector<net::Message>>& mailbox_pool,
-                      const PackRank& pack_rank, const UnpackMsg& unpack_msg) {
-    auto outboxes = std::move(mailbox_pool);
-    outboxes.resize(static_cast<std::size_t>(backend_->ranks()));
-    for (auto& box : outboxes) box.clear();
-    std::fill(copy_tallies_.begin(), copy_tallies_.end(), CopyTally{});
-    report_.pack_ms += phase_step([&](int r) {
-      pack_rank(r, outboxes[static_cast<std::size_t>(r)],
-                copy_tallies_[static_cast<std::size_t>(r)]);
-    });
-    std::uint64_t local_copies = 0;
-    std::uint64_t local_bytes = 0;
-    std::uint64_t local_segments = 0;
-    for (const CopyTally& tally : copy_tallies_) {
-      local_copies += tally.local_copies;
-      local_bytes += tally.local_bytes;
-      local_segments += tally.local_segments;
-      report_.elements_copied += tally.local_elements;
-      report_.packed_bytes += tally.packed_bytes;
-    }
-    backend_->account_local(local_copies, local_bytes, local_segments);
-    report_.local_fastpath_copies += local_copies;
-
-    const auto exchange_start = std::chrono::steady_clock::now();
-    auto inboxes = backend_->exchange(std::move(outboxes));
-    report_.exchange_ms += std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() -
-                               exchange_start)
-                               .count();
-    std::fill(copy_tallies_.begin(), copy_tallies_.end(), CopyTally{});
-    report_.unpack_ms += phase_step([&](int r) {
-      CopyTally& tally = copy_tallies_[static_cast<std::size_t>(r)];
-      for (const auto& msg : inboxes[static_cast<std::size_t>(r)]) {
-        unpack_msg(r, msg);
-        tally.unpacked += msg.payload.size();
-      }
-    });
-    for (const CopyTally& tally : copy_tallies_)
-      report_.elements_copied += tally.unpacked;
-    // Recycle: payload buffers go back to their tag's pool slot, and the
-    // routed mailbox skeleton (outer + inner vector capacities) becomes
-    // the next execution's outboxes.
-    for (auto& inbox : inboxes)
-      for (auto& msg : inbox)
-        payload_pool[static_cast<std::size_t>(msg.tag)] =
-            std::move(msg.payload);
-    for (auto& inbox : inboxes) inbox.clear();
-    mailbox_pool = std::move(inboxes);
-  }
-
   /// Books one executed local fast-path program into a rank's tally.
   static void tally_local(CopyTally& tally,
                           const redist::SegmentProgram& tp) {
@@ -731,59 +661,6 @@ class Machine {
         static_cast<std::uint64_t>(tp.elements) * sizeof(double);
     tally.local_segments += tp.segments.size();
     tally.local_elements += static_cast<std::uint64_t>(tp.elements);
-  }
-
-  /// The remapping communication: redistribute src version into dst,
-  /// optionally restricted to a live region. Remote transfers pack into
-  /// pooled payload buffers and go through the exchange; src == dst
-  /// transfers run as direct strided local copies (no message is ever
-  /// materialized), accounted through Backend::account_local with the
-  /// exact counters a self-message would have produced.
-  void copy(ArrayId a, int src, int dst, const ir::Region& region,
-            int plan_slot) {
-    allocate(a, src);  // an untouched source is all zeros, like canonical
-    allocate(a, dst);
-    PlanSlot& slot = transfer_plan(a, src, dst, region, plan_slot);
-    const auto& programs = slot.programs;
-
-    auto& from = storage_[static_cast<std::size_t>(a)]
-                         [static_cast<std::size_t>(src)];
-    auto& to =
-        storage_[static_cast<std::size_t>(a)][static_cast<std::size_t>(dst)];
-    // Each source rank packs its own transfers, in program (tag) order so
-    // emission order — and with it the inbox order — is backend-invariant.
-    copy_superstep(
-        slot.payload_pool, slot.mailbox_pool,
-        [&](int r, std::vector<net::Message>& outbox, CopyTally& tally) {
-          for (std::size_t t = 0; t < programs.size(); ++t) {
-            const redist::SegmentProgram& tp = programs[t];
-            if (tp.src != r) continue;
-            if (tp.dst == r) {
-              redist::copy_local(tp, from.locals[static_cast<std::size_t>(r)],
-                                 to.locals[static_cast<std::size_t>(r)]);
-              tally_local(tally, tp);
-              continue;
-            }
-            net::Message msg;
-            msg.src = tp.src;
-            msg.dst = tp.dst;
-            msg.tag = static_cast<int>(t);
-            msg.segments = static_cast<int>(tp.segments.size());
-            msg.payload = std::move(slot.payload_pool[t]);
-            redist::pack(tp, from.locals[static_cast<std::size_t>(tp.src)],
-                         msg.payload);
-            tally.packed_bytes += msg.bytes();
-            outbox.push_back(std::move(msg));
-          }
-        },
-        [&](int, const net::Message& msg) {
-          const redist::SegmentProgram& tp =
-              programs[static_cast<std::size_t>(msg.tag)];
-          redist::unpack(tp, msg.payload,
-                         to.locals[static_cast<std::size_t>(tp.dst)]);
-        });
-    to.dirty = true;
-    ++report_.copies_performed;
   }
 
   PlanSlot& transfer_plan(ArrayId a, int src, int dst,
@@ -830,7 +707,6 @@ class Machine {
       slot.programs.push_back(
           redist::compile_transfer(*t, sit->second, dit->second));
     }
-    slot.payload_pool.resize(slot.programs.size());
     slot.compiled = true;
     // The compiled tables are memory like any copy: charge them against
     // the budget and fall back to evicting *other* plan slots when the
@@ -911,13 +787,16 @@ class Machine {
 
   // ---- fused copy groups -------------------------------------------------
 
-  /// Records a group-member Copy while its vertex's guard code runs: the
-  /// endpoint storage is allocated (and pinned against eviction) and the
-  /// transfer program compiled, but the data movement is deferred so all
-  /// the copies the vertex fires share one exchange superstep.
+  /// Records a Copy while its vertex's guard code runs: the endpoint
+  /// storage is allocated (and pinned against eviction) and the transfer
+  /// program compiled, but the data movement is deferred so all the
+  /// copies of one copy group share one exchange superstep.
   void defer_copy(const codegen::Op& op) {
-    // Defensive: groups never interleave (one vertex per CFG node), but a
-    // group change mid-list must still flush the previous round first.
+    HPFC_ASSERT_MSG(op.copy_group >= 0, "Copy op without a copy group");
+    // Codegen never interleaves groups (one vertex per CFG node), but a
+    // group change mid-list flushes the previous round first. The
+    // split-copy-groups test oracle (testing::split_copy_groups) relies on
+    // this to run every Copy as its own superstep.
     if (pending_group_ >= 0 && pending_group_ != op.copy_group)
       flush_pending();
     pending_group_ = op.copy_group;
@@ -928,7 +807,7 @@ class Machine {
                         op.plan_slot);
   }
 
-  /// Runs the pending vertex's fused communication round, then the frees
+  /// Runs the pending group's fused communication round, then the frees
   /// held while the round was open.
   void flush_pending() {
     if (pending_group_ < 0) return;
@@ -970,11 +849,17 @@ class Machine {
     return slot;
   }
 
-  /// The fused analogue of copy(): one pack step over combined messages,
-  /// ONE exchange for the whole member set, one unpack step by frame. The
-  /// local fast path behaves per member program exactly as in the unfused
-  /// path, so every data-volume counter (elements, bytes, segments, local
-  /// copies) is byte-identical to running the members one superstep each.
+  /// The remapping communication of one copy group: one pack step over
+  /// the combined per-(src, dst) messages, ONE exchange for the whole
+  /// member set, one unpack step by frame. src == dst transfers run as
+  /// direct strided local copies inside the pack step (no message is
+  /// materialized), accounted through Backend::account_local with the
+  /// exact counters a self-message would have produced. Every
+  /// data-volume counter (elements, bytes, segments, local copies) is
+  /// therefore identical to running the members one superstep each; a
+  /// single-member round is exactly that superstep. Payload buffers are
+  /// recycled by message tag and the routed mailbox skeleton becomes the
+  /// next flush's outboxes, so steady-state loops allocate nothing.
   void run_fused() {
     FusedSlot& slot = fused_slot();
     const redist::FusedExchange& fx = slot.exchange;
@@ -984,57 +869,95 @@ class Machine {
       return programs[static_cast<std::size_t>(program)];
     };
 
-    copy_superstep(
-        slot.payload_pool, slot.mailbox_pool,
-        [&](int r, std::vector<net::Message>& outbox, CopyTally& tally) {
-          for (const redist::FusedLocal& u :
-               fx.local_by_rank[static_cast<std::size_t>(r)]) {
-            const redist::SegmentProgram& tp =
-                member_program(u.member, u.program);
-            const auto& [from, to] =
-                slot.endpoints[static_cast<std::size_t>(u.member)];
-            redist::copy_local(tp, from->locals[static_cast<std::size_t>(r)],
-                               to->locals[static_cast<std::size_t>(r)]);
-            tally_local(tally, tp);
-          }
-          for (const int mi : fx.by_src[static_cast<std::size_t>(r)]) {
-            const redist::FusedMessage& fm =
-                fx.messages[static_cast<std::size_t>(mi)];
-            net::Message msg;
-            msg.src = fm.src;
-            msg.dst = fm.dst;
-            msg.tag = mi;
-            msg.segments = fm.segments;
-            msg.payload =
-                std::move(slot.payload_pool[static_cast<std::size_t>(mi)]);
-            msg.payload.resize(static_cast<std::size_t>(fm.elements));
-            for (const redist::FusedFrame& fr : fm.frames) {
-              const auto& [from, to] =
-                  slot.endpoints[static_cast<std::size_t>(fr.member)];
-              const std::span<double> window(
-                  msg.payload.data() + fr.offset,
-                  static_cast<std::size_t>(fr.len));
-              redist::pack_into(member_program(fr.member, fr.program),
-                                from->locals[static_cast<std::size_t>(r)],
-                                window);
-            }
-            tally.packed_bytes += msg.bytes();
-            outbox.push_back(std::move(msg));
-          }
-        },
-        [&](int r, const net::Message& msg) {
-          const redist::FusedMessage& fm =
-              fx.messages[static_cast<std::size_t>(msg.tag)];
-          for (const redist::FusedFrame& fr : fm.frames) {
-            const auto& [from, to] =
-                slot.endpoints[static_cast<std::size_t>(fr.member)];
-            const std::span<const double> window(
-                msg.payload.data() + fr.offset,
-                static_cast<std::size_t>(fr.len));
-            redist::unpack(member_program(fr.member, fr.program), window,
+    auto outboxes = std::move(slot.mailbox_pool);
+    outboxes.resize(static_cast<std::size_t>(backend_->ranks()));
+    for (auto& box : outboxes) box.clear();
+    std::fill(copy_tallies_.begin(), copy_tallies_.end(), CopyTally{});
+    // Each source rank runs its local copies, then packs its messages in
+    // table order, so emission order — and with it the inbox order — is
+    // backend-invariant.
+    report_.pack_ms += phase_step([&](int r) {
+      CopyTally& tally = copy_tallies_[static_cast<std::size_t>(r)];
+      for (const redist::FusedLocal& u :
+           fx.local_by_rank[static_cast<std::size_t>(r)]) {
+        const redist::SegmentProgram& tp = member_program(u.member, u.program);
+        const auto& [from, to] =
+            slot.endpoints[static_cast<std::size_t>(u.member)];
+        redist::copy_local(tp, from->locals[static_cast<std::size_t>(r)],
                            to->locals[static_cast<std::size_t>(r)]);
-          }
-        });
+        tally_local(tally, tp);
+      }
+      for (const int mi : fx.by_src[static_cast<std::size_t>(r)]) {
+        const redist::FusedMessage& fm =
+            fx.messages[static_cast<std::size_t>(mi)];
+        net::Message msg;
+        msg.src = fm.src;
+        msg.dst = fm.dst;
+        msg.tag = mi;
+        msg.segments = fm.segments;
+        msg.payload =
+            std::move(slot.payload_pool[static_cast<std::size_t>(mi)]);
+        msg.payload.resize(static_cast<std::size_t>(fm.elements));
+        for (const redist::FusedFrame& fr : fm.frames) {
+          const auto& [from, to] =
+              slot.endpoints[static_cast<std::size_t>(fr.member)];
+          const std::span<double> window(msg.payload.data() + fr.offset,
+                                         static_cast<std::size_t>(fr.len));
+          redist::pack_into(member_program(fr.member, fr.program),
+                            from->locals[static_cast<std::size_t>(r)],
+                            window);
+        }
+        tally.packed_bytes += msg.bytes();
+        outboxes[static_cast<std::size_t>(r)].push_back(std::move(msg));
+      }
+    });
+    std::uint64_t local_copies = 0;
+    std::uint64_t local_bytes = 0;
+    std::uint64_t local_segments = 0;
+    for (const CopyTally& tally : copy_tallies_) {
+      local_copies += tally.local_copies;
+      local_bytes += tally.local_bytes;
+      local_segments += tally.local_segments;
+      report_.elements_copied += tally.local_elements;
+      report_.packed_bytes += tally.packed_bytes;
+    }
+    backend_->account_local(local_copies, local_bytes, local_segments);
+    report_.local_fastpath_copies += local_copies;
+
+    const auto exchange_start = std::chrono::steady_clock::now();
+    auto inboxes = backend_->exchange(std::move(outboxes));
+    report_.exchange_ms += std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() -
+                               exchange_start)
+                               .count();
+    std::fill(copy_tallies_.begin(), copy_tallies_.end(), CopyTally{});
+    report_.unpack_ms += phase_step([&](int r) {
+      CopyTally& tally = copy_tallies_[static_cast<std::size_t>(r)];
+      for (const auto& msg : inboxes[static_cast<std::size_t>(r)]) {
+        const redist::FusedMessage& fm =
+            fx.messages[static_cast<std::size_t>(msg.tag)];
+        for (const redist::FusedFrame& fr : fm.frames) {
+          const auto& [from, to] =
+              slot.endpoints[static_cast<std::size_t>(fr.member)];
+          const std::span<const double> window(
+              msg.payload.data() + fr.offset,
+              static_cast<std::size_t>(fr.len));
+          redist::unpack(member_program(fr.member, fr.program), window,
+                         to->locals[static_cast<std::size_t>(r)]);
+        }
+        tally.unpacked += msg.payload.size();
+      }
+    });
+    for (const CopyTally& tally : copy_tallies_)
+      report_.elements_copied += tally.unpacked;
+    for (auto& inbox : inboxes) {
+      for (auto& msg : inbox)
+        slot.payload_pool[static_cast<std::size_t>(msg.tag)] =
+            std::move(msg.payload);
+      inbox.clear();
+    }
+    slot.mailbox_pool = std::move(inboxes);
+
     for (const auto& [from, to] : slot.endpoints) to->dirty = true;
     report_.copies_performed += static_cast<int>(slot.members.size());
     if (slot.members.size() >= 2) backend_->account_fused(slot.members.size());
@@ -1226,67 +1149,45 @@ class Machine {
         const auto& vs = storage_[a][v];
         if (!vs.live || !vs.allocated) continue;
         if (static_cast<int>(v) == status_[a]) continue;
-        verify_copy(static_cast<ArrayId>(a), static_cast<int>(v));
+        HPFC_ASSERT_MSG(
+            holds_canonical(static_cast<ArrayId>(a), static_cast<int>(v)),
+            "live copy " + program_.arrays[a].name + "_" + std::to_string(v) +
+                " diverged from canonical values");
       }
     }
   }
 
-  void verify_copy(ArrayId a, int version) const {
-    const auto& vs =
-        storage_[static_cast<std::size_t>(a)][static_cast<std::size_t>(version)];
-    const ConcreteLayout& lay = layout(a, version);
-    const OwnershipProgram& own = ownership(a, version);
-    const auto& canonical = canonical_[static_cast<std::size_t>(a)];
-    for (int r = 0; r < lay.ranks(); ++r) {
-      const auto& local = vs.locals[static_cast<std::size_t>(r)];
-      for (const mapping::OwnedRun& run :
-           own.per_rank[static_cast<std::size_t>(r)].runs) {
-        const double* vals = local.data() + run.local_base;
-        Index global = run.global_base;
-        for (mapping::Extent j = 0; j < run.len;
-             ++j, global += run.global_stride) {
-          const double expect = canonical[static_cast<std::size_t>(global)];
-          HPFC_ASSERT_MSG(vals[j] == expect,
-                          "live copy " + program_.array(a).name + "_" +
-                              std::to_string(version) +
-                              " diverged from canonical values");
-        }
-      }
-    }
-  }
-
-  void check_exported(const ir::CfgNode& exit_node) {
-    (void)exit_node;
-    // The exit copy-back code has already run via at_node[exit]... it runs
-    // before this check in run() because Exit executes node ops first.
+  /// Exported dummy arguments must hold the canonical values at exit (the
+  /// exit vertex's copy-back code has already run: node ops come first).
+  void check_exported() {
     for (const ArrayId a : program_.mapped_arrays()) {
       const auto& decl = program_.array(a);
       if (!decl.is_dummy || decl.intent == ir::Intent::In) continue;
-      const auto& vs = storage_[static_cast<std::size_t>(a)][0];
-      if (!vs.allocated) {
+      if (!storage_[static_cast<std::size_t>(a)][0].allocated ||
+          !holds_canonical(a, 0))
         report_.exported_values_ok = false;
-        continue;
-      }
-      const ConcreteLayout& lay = layout(a, 0);
-      const OwnershipProgram& own = ownership(a, 0);
-      const auto& canonical = canonical_[static_cast<std::size_t>(a)];
-      bool ok = true;
-      for (int r = 0; r < lay.ranks() && ok; ++r) {
-        const auto& local = vs.locals[static_cast<std::size_t>(r)];
-        for (const mapping::OwnedRun& run :
-             own.per_rank[static_cast<std::size_t>(r)].runs) {
-          const double* vals = local.data() + run.local_base;
-          Index global = run.global_base;
-          for (mapping::Extent j = 0; j < run.len && ok;
-               ++j, global += run.global_stride) {
-            if (vals[j] != canonical[static_cast<std::size_t>(global)])
-              ok = false;
-          }
-          if (!ok) break;
-        }
-      }
-      if (!ok) report_.exported_values_ok = false;
     }
+  }
+
+  /// Whether every owned element of an allocated (array, version) equals
+  /// the canonical value at its global position.
+  [[nodiscard]] bool holds_canonical(ArrayId a, int version) const {
+    const auto& vs =
+        storage_[static_cast<std::size_t>(a)][static_cast<std::size_t>(version)];
+    const OwnershipProgram& own = ownership(a, version);
+    const auto& canonical = canonical_[static_cast<std::size_t>(a)];
+    for (std::size_t r = 0; r < own.per_rank.size(); ++r) {
+      const double* local = vs.locals[r].data();
+      for (const mapping::OwnedRun& run : own.per_rank[r].runs) {
+        const double* vals = local + run.local_base;
+        Index global = run.global_base;
+        for (mapping::Extent j = 0; j < run.len;
+             ++j, global += run.global_stride)
+          if (vals[j] != canonical[static_cast<std::size_t>(global)])
+            return false;
+      }
+    }
+    return true;
   }
 
   const ir::Program& program_;

@@ -5,10 +5,11 @@
 // and per-copy live flags; Copy ops run real redistribution communication
 // through an exec::Backend (the sequential BSP loop or the thread-per-rank
 // engine — both yield identical results, inbox order, and NetStats).
-// Copies sharing a codegen copy group (one remapping vertex) are deferred
-// and flushed as ONE fused exchange superstep with per-(src,dst) combined
-// messages (see redist/fused.hpp), unless RunOptions::unfuse_copy_groups
-// restores the historical one-superstep-per-copy behaviour.
+// Every Copy is deferred until its codegen copy group (one remapping
+// vertex) is complete, then the group is flushed as ONE fused exchange
+// superstep with per-(src,dst) combined messages (see redist/fused.hpp).
+// This is the only copy executor; the one-superstep-per-copy reference
+// is the test-side transform testing::split_copy_groups.
 //
 // Execution is differential-testable: a sequential oracle executes the
 // same control-flow path against one canonical value array per abstract
@@ -50,15 +51,6 @@ struct RunOptions {
   /// 0 = min(ranks, CPUs in the affinity mask)). Ignored by the seq
   /// backend.
   int threads = 0;
-  /// Disable cross-array message aggregation and run every Copy op as its
-  /// own exchange superstep, as the runtime did historically. Results and
-  /// the data-volume counters (elements, bytes, segments, checksums) are
-  /// identical either way; messages, supersteps, fused_copies and
-  /// sim_time move, and so may the memory accounting (peak_bytes,
-  /// evictions): a fused vertex holds — and pins against eviction — all
-  /// its members' endpoints until the shared flush. For tests and A/B
-  /// measurements.
-  bool unfuse_copy_groups = false;
   /// Proc backend only: route the socket mesh over TCP loopback
   /// connections instead of AF_UNIX socketpairs (same frames, real
   /// network stack). An environment A/B knob.
@@ -77,8 +69,8 @@ struct RunOptions {
   /// Ignored without snapshot_dir.
   int snapshot_every = 1;
 
-  /// Sets a boolean toggle by registry name ("unfuse-copy-groups" /
-  /// "unfuse_copy_groups" — both spellings resolve; see
+  /// Sets a boolean toggle by registry name ("proc-tcp" / "proc_tcp" —
+  /// both spellings resolve; see
   /// runtime/toggles.hpp). Returns false when no such toggle exists.
   bool set(std::string_view toggle, bool value = true);
 };
@@ -128,9 +120,10 @@ struct RunReport {
 
   // Superstep phase timers: wall-clock accumulated over every exchange
   // superstep's pack / exchange / unpack window (run_benches' timeout
-  // diagnostics read them). They sum to less than
-  // exec_ms — guard evaluation, plan compilation, and local fast-path
-  // copies run outside the three windows.
+  // diagnostics read them). Local fast-path copies run inside the pack
+  // step and count toward pack_ms. The three sum to less than exec_ms:
+  // guard evaluation, plan compilation, allocation, node semantics and
+  // snapshot sealing run outside them.
   double pack_ms = 0.0;
   double exchange_ms = 0.0;
   double unpack_ms = 0.0;

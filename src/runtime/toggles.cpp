@@ -5,10 +5,6 @@ namespace hpfc::runtime {
 namespace {
 
 constexpr Toggle kToggles[] = {
-    {"unfuse-copy-groups", "unfuse_copy_groups",
-     &RunOptions::unfuse_copy_groups,
-     "one exchange superstep per Copy op (disable cross-array message "
-     "aggregation)"},
     {"paranoid", "paranoid", &RunOptions::paranoid,
      "validate the liveness invariant after every step (slow; for tests)"},
     {"proc-tcp", "proc_tcp", &RunOptions::proc_tcp,

@@ -233,13 +233,13 @@ if(NOT toggles_status EQUAL 0)
   message(FATAL_ERROR "cli_smoke: hpfc --list-toggles exited with "
     "${toggles_status}\nstderr:\n${toggles_err}")
 endif()
-# The registry holds exactly the three remaining toggles, then the
+# The registry holds exactly the two remaining toggles, then the
 # value-taking knobs.
 string(REGEX MATCHALL "--[a-z-]+\t" toggle_flags "${toggles_out}")
-if(NOT toggle_flags STREQUAL "--unfuse-copy-groups\t;--paranoid\t;--proc-tcp\t")
+if(NOT toggle_flags STREQUAL "--paranoid\t;--proc-tcp\t")
   message(FATAL_ERROR
-    "cli_smoke: --list-toggles should list exactly --unfuse-copy-groups, "
-    "--paranoid and --proc-tcp:\n${toggles_out}")
+    "cli_smoke: --list-toggles should list exactly --paranoid and "
+    "--proc-tcp:\n${toggles_out}")
 endif()
 foreach(flag proc-timeout-ms= snapshot-dir= snapshot-every=)
   if(NOT toggles_out MATCHES "--${flag}\t")

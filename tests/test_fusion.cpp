@@ -1,9 +1,10 @@
 // Fused remap supersteps (cross-array message aggregation): all Copy ops
 // codegen emits for one remapping vertex share a codegen copy group, and
 // the runtime flushes each group as ONE exchange superstep with combined
-// per-(src, dst) messages. These tests pin the equivalence contract:
-// across {fused, unfused} x {seq, thread} the results and every
-// data-volume counter (elements, bytes, segments,
+// per-(src, dst) messages. These tests pin the equivalence contract
+// against the split oracle (testing::split_copy_groups: one group, hence
+// one superstep, per Copy): across {fused, split} x {seq, thread} the
+// results and every data-volume counter (elements, bytes, segments,
 // local copies, checksums) are byte-identical; only messages, supersteps,
 // fused_copies and sim_time may move — and supersteps must drop by the
 // vertex fan-out.
@@ -18,6 +19,7 @@
 #include "driver/compiler.hpp"
 #include "hpf/builder.hpp"
 #include "testing/program_gen.hpp"
+#include "testing/split_groups.hpp"
 
 namespace hpfc {
 namespace {
@@ -98,14 +100,18 @@ InvariantCounters invariants(const runtime::RunReport& r) {
   return c;
 }
 
-runtime::RunReport run_with(const Compiled& compiled, bool unfuse,
+/// Runs `compiled` as generated (fused) or through the split oracle.
+runtime::RunReport run_with(const Compiled& compiled, bool split,
                             exec::BackendKind backend, unsigned seed = 11) {
   runtime::RunOptions options;
   options.seed = seed;
   options.backend = backend;
   options.threads = 3;
-  options.unfuse_copy_groups = unfuse;
-  return driver::run(compiled, options);
+  if (!split) return driver::run(compiled, options);
+  codegen::RuntimeProgram code = compiled.code;
+  testing::split_copy_groups(code);
+  return runtime::run_parallel(compiled.program, compiled.analysis, code,
+                               options);
 }
 
 // Every Copy emitted for one vertex carries that vertex's group id;
@@ -139,9 +145,15 @@ TEST(CopyGroups, CodegenAssignsOneGroupPerVertex) {
     EXPECT_EQ(std::count(seen.begin(), seen.end(), groups.front()), 0);
     seen.push_back(groups.front());
   }
+
+  // The split oracle gives every Copy op a group of its own.
+  codegen::RuntimeProgram split = c.code;
+  testing::split_copy_groups(split);
+  EXPECT_EQ(split.copy_groups, split.count(codegen::OpKind::Copy));
+  EXPECT_GT(split.copy_groups, c.code.copy_groups);
 }
 
-// A vertex moving k arrays costs one superstep fused, k unfused, with all
+// A vertex moving k arrays costs one superstep fused, k split, with all
 // data-volume counters byte-identical across the 2x2 matrix.
 TEST(CopyGroups, MultiArrayVertexFusesKIntoOneSuperstep) {
   const int arrays = 4;
@@ -152,36 +164,36 @@ TEST(CopyGroups, MultiArrayVertexFusesKIntoOneSuperstep) {
   oracle_options.seed = 11;
   const auto oracle = driver::run_oracle(c, oracle_options);
 
-  const auto fused = run_with(c, /*unfuse=*/false, exec::BackendKind::Seq);
-  const auto unfused = run_with(c, /*unfuse=*/true, exec::BackendKind::Seq);
+  const auto fused = run_with(c, /*split=*/false, exec::BackendKind::Seq);
+  const auto split = run_with(c, /*split=*/true, exec::BackendKind::Seq);
   EXPECT_EQ(fused.signature, oracle.signature);
-  EXPECT_EQ(invariants(fused), invariants(unfused));
+  EXPECT_EQ(invariants(fused), invariants(split));
 
-  // Every flush collapses its members into one superstep: the unfused run
+  // Every flush collapses its members into one superstep: the split run
   // pays one superstep per copy, the fused one per remap vertex visit.
   ASSERT_GT(fused.copies_performed, 0);
-  EXPECT_EQ(unfused.net.supersteps,
-            static_cast<std::uint64_t>(unfused.copies_performed));
+  EXPECT_EQ(split.net.supersteps,
+            static_cast<std::uint64_t>(split.copies_performed));
   EXPECT_EQ(fused.net.supersteps,
             static_cast<std::uint64_t>(fused.copies_performed / arrays));
   EXPECT_EQ(fused.net.fused_copies,
             static_cast<std::uint64_t>(fused.copies_performed));
-  EXPECT_EQ(unfused.net.fused_copies, 0u);
+  EXPECT_EQ(split.net.fused_copies, 0u);
   // Off-rank messages merge per (src, dst) pair: k-fold fewer.
-  EXPECT_EQ(unfused.net.messages,
+  EXPECT_EQ(split.net.messages,
             fused.net.messages * static_cast<std::uint64_t>(arrays));
   // Fewer message latencies -> the alpha term shrinks.
-  EXPECT_LT(fused.net.sim_time, unfused.net.sim_time);
+  EXPECT_LT(fused.net.sim_time, split.net.sim_time);
 
-  for (const bool unfuse : {false, true}) {
+  for (const bool split_groups : {false, true}) {
     for (const auto backend :
          {exec::BackendKind::Seq, exec::BackendKind::Thread}) {
-      const auto report = run_with(c, unfuse, backend);
+      const auto report = run_with(c, split_groups, backend);
       EXPECT_EQ(invariants(report), invariants(fused))
-          << (unfuse ? "unfused " : "fused ") << exec::to_string(backend);
+          << (split_groups ? "split " : "fused ") << exec::to_string(backend);
       EXPECT_TRUE(report.exported_values_ok);
-      EXPECT_EQ(report.net.supersteps,
-                unfuse ? unfused.net.supersteps : fused.net.supersteps);
+      EXPECT_EQ(report.net.supersteps, split_groups ? split.net.supersteps
+                                                    : fused.net.supersteps);
     }
   }
 }
@@ -206,11 +218,11 @@ TEST(CopyGroups, RandomProgramsFuseWithoutChangingResults) {
 
       const auto fused =
           run_with(compiled, false, exec::BackendKind::Seq, 100 + seed);
-      const auto unfused =
+      const auto split =
           run_with(compiled, true, exec::BackendKind::Seq, 100 + seed);
-      EXPECT_EQ(invariants(fused), invariants(unfused)) << "seed " << seed;
-      EXPECT_LE(fused.net.supersteps, unfused.net.supersteps);
-      EXPECT_EQ(unfused.net.fused_copies, 0u);
+      EXPECT_EQ(invariants(fused), invariants(split)) << "seed " << seed;
+      EXPECT_LE(fused.net.supersteps, split.net.supersteps);
+      EXPECT_EQ(split.net.fused_copies, 0u);
 
       const auto threaded =
           run_with(compiled, false, exec::BackendKind::Thread, 100 + seed);

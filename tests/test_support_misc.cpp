@@ -157,8 +157,8 @@ TEST(Toggles, RegistryResolvesBothSpellingsAndCoversAllFlags) {
     EXPECT_FALSE(options.*(toggle.flag)) << toggle.name
                                          << " should default to off";
   }
-  EXPECT_EQ(count, 3u);
-  EXPECT_NE(runtime::find_toggle("unfuse-copy-groups"), nullptr);
+  EXPECT_EQ(count, 2u);
+  EXPECT_EQ(runtime::find_toggle("unfuse-copy-groups"), nullptr);  // retired
   EXPECT_NE(runtime::find_toggle("paranoid"), nullptr);
   EXPECT_NE(runtime::find_toggle("proc-tcp"), nullptr);
   EXPECT_EQ(runtime::find_toggle("no-such-toggle"), nullptr);
@@ -166,8 +166,8 @@ TEST(Toggles, RegistryResolvesBothSpellingsAndCoversAllFlags) {
 
 TEST(Toggles, RunOptionsSetAndForEach) {
   runtime::RunOptions options;
-  EXPECT_TRUE(options.set("unfuse-copy-groups"));
-  EXPECT_TRUE(options.unfuse_copy_groups);
+  EXPECT_TRUE(options.set("paranoid"));
+  EXPECT_TRUE(options.paranoid);
   EXPECT_TRUE(options.set("proc_tcp"));  // snake_case spelling works too
   EXPECT_TRUE(options.proc_tcp);
   EXPECT_TRUE(options.set("proc-tcp", false));
@@ -182,7 +182,7 @@ TEST(Toggles, RunOptionsSetAndForEach) {
                              if (value) ++on;
                            });
   EXPECT_EQ(seen, runtime::toggles().size());
-  EXPECT_EQ(on, 1u);  // only unfuse-copy-groups is still set
+  EXPECT_EQ(on, 1u);  // only paranoid is still set
 }
 
 TEST(Cli, RunFlagsConsumesMachineFlagsAndToggles) {
@@ -200,9 +200,8 @@ TEST(Cli, RunFlagsConsumesMachineFlagsAndToggles) {
   EXPECT_EQ(flags.options.proc_timeout_ms, 250);
   EXPECT_EQ(flags.consume("--paranoid"), support::cli::Parsed::Consumed);
   EXPECT_TRUE(flags.options.paranoid);
-  EXPECT_EQ(flags.consume("--unfuse-copy-groups"),
-            support::cli::Parsed::Consumed);
-  EXPECT_TRUE(flags.options.unfuse_copy_groups);
+  EXPECT_EQ(flags.consume("--proc-tcp"), support::cli::Parsed::Consumed);
+  EXPECT_TRUE(flags.options.proc_tcp);
   // Flags the shared surface does not own pass through untouched.
   EXPECT_EQ(flags.consume("--json=x.json"),
             support::cli::Parsed::Unrecognized);
@@ -240,8 +239,8 @@ TEST(Cli, ToggleTableIsMachineParsable) {
   EXPECT_NE(table.find("--proc-timeout-ms=\t"), std::string::npos);
   EXPECT_NE(table.find("--snapshot-dir=\t"), std::string::npos);
   EXPECT_NE(table.find("--snapshot-every=\t"), std::string::npos);
-  EXPECT_NE(table.find("--unfuse-copy-groups\tunfuse_copy_groups\t"),
-            std::string::npos);
+  EXPECT_NE(table.find("--paranoid\tparanoid\t"), std::string::npos);
+  EXPECT_NE(table.find("--proc-tcp\tproc_tcp\t"), std::string::npos);
 }
 
 TEST(NetStats, ArithmeticAndSummary) {

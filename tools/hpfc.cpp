@@ -18,7 +18,7 @@
 //
 // The machine flags (--backend/--threads/--ranks/--seed/
 // --proc-timeout-ms/--snapshot-dir/--snapshot-every) and every A/B
-// toggle (--unfuse-copy-groups, --paranoid, --proc-tcp) come from the
+// toggle (--paranoid, --proc-tcp) come from the
 // shared support::cli surface —
 // see `hpfc --list-toggles` and src/runtime/toggles.hpp. With
 // --snapshot-dir the run seals crash-consistent snapshots and the
